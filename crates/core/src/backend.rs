@@ -14,20 +14,22 @@
 //!   of magnitude faster, with the same access *pattern* and the same
 //!   returned data, for functional tests and high-volume load studies.
 //!
-//! Both backends serialize accesses the way the ORAM controller does: an
-//! access begins no earlier than the previous access's maintenance traffic
-//! finished draining (`free_at`), and its user-visible completion (`done`)
-//! covers the online reads plus the crypto pipeline.
+//! A reply's `done` is the access's user-visible completion: its online
+//! reads plus the crypto pipeline. When an access may *begin* is the
+//! backend's business: [`TimedBackend`] runs the same access scheduler as
+//! the trace driver (at depth 1 an access waits for the previous one's
+//! maintenance drain; deeper windows overlap them, DESIGN.md §15), and
+//! [`UntimedBackend`] serializes on its accounted drain.
 
 use crate::config::OramConfig;
 use crate::error::OramError;
 use crate::ring::{AccessKind, PayloadMutator, RingOram};
-use crate::sink::{CountingSink, InflightAccess, TimingSink};
+use crate::scheduler::AccessScheduler;
+use crate::sink::{CountingSink, TimingSink};
 use crate::{BlockId, BLOCK_BYTES};
 use aboram_crypto::CryptoLatency;
 use aboram_dram::{DramConfig, MemorySystem};
 use aboram_tree::PathId;
-use std::collections::VecDeque;
 
 /// Timing outcome of one backend access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,16 +39,15 @@ pub struct BackendReply {
     pub data: Option<[u8; BLOCK_BYTES]>,
     /// User-visible completion time: online reads plus crypto pipeline.
     pub done: u64,
-    /// When the backend can start the next access (maintenance drained).
-    pub free_at: u64,
 }
 
 /// A block store serving ORAM accesses on a simulated or accounted clock.
 ///
 /// `start` is the request's arrival time in the backend's clock domain; the
-/// access actually begins at `max(start, free_at)` — the controller
-/// serializes. Implementations must be deterministic: identical call
-/// sequences produce identical replies and identical engine state.
+/// access begins no earlier, and later when the controller is still busy
+/// with earlier accesses (see the module docs). Implementations must be
+/// deterministic: identical call sequences produce identical replies and
+/// identical engine state.
 pub trait StorageBackend {
     /// One user access (read, or write with `new_data`).
     ///
@@ -102,9 +103,6 @@ pub trait StorageBackend {
     /// Mutable engine access (warm-up, stats inspection).
     fn engine_mut(&mut self) -> &mut RingOram;
 
-    /// The controller-occupancy cursor: when the next access could begin.
-    fn free_at(&self) -> u64;
-
     /// Sets the access-pipeline depth: the maximum number of concurrently
     /// in-flight accesses (see [`TimedBackend::set_pipeline_depth`]).
     /// Backends without a cycle-level pipeline ignore the knob.
@@ -121,22 +119,7 @@ pub trait StorageBackend {
 pub struct TimedBackend {
     oram: RingOram,
     sink: TimingSink,
-    crypto: CryptoLatency,
-    free_at: u64,
-    /// Access-pipeline depth; 1 = the classic serialized controller.
-    depth: u8,
-    /// In-flight accesses whose maintenance traffic is still draining.
-    window: VecDeque<InflightAccess>,
-    /// Previous access's release cycle (arrival order is non-decreasing).
-    last_start: u64,
-    /// Previous access's last online DRAM reply — the stash hand-off gate.
-    prev_online_done: u64,
-    /// The crypto pipeline's last exit cycle, carried across accesses.
-    crypto_exit: u64,
-    /// Scratch for online-read completion times.
-    completions: Vec<u64>,
-    /// Scratch for the staged write footprint.
-    footprint: Vec<(u8, u16, u64)>,
+    scheduler: AccessScheduler,
 }
 
 impl TimedBackend {
@@ -155,130 +138,34 @@ impl TimedBackend {
     pub fn from_oram(oram: RingOram, dram: DramConfig) -> Self {
         let mut sink = TimingSink::new(MemorySystem::new(dram));
         sink.set_issue_mode(oram.config().scheme.issue_mode());
-        TimedBackend {
-            oram,
-            sink,
-            crypto: CryptoLatency::default(),
-            free_at: 0,
-            depth: 1,
-            window: VecDeque::new(),
-            last_start: 0,
-            prev_online_done: 0,
-            crypto_exit: 0,
-            completions: Vec::new(),
-            footprint: Vec::new(),
-        }
+        TimedBackend { oram, sink, scheduler: AccessScheduler::new(CryptoLatency::default(), 0) }
     }
 
-    /// Sets the access-pipeline depth. Depth 1 (the default, and `0`
-    /// clamps to it) is the classic serialized controller: an access
-    /// begins only after the previous one's maintenance traffic drained.
-    /// Depth > 1 lets an access's read phase issue while up to `depth - 1`
-    /// earlier accesses' eviction/writeback and decrypt/verify traffic
-    /// drain, bounded by the same true-dependency gates as
-    /// [`crate::TimingDriver::set_pipeline_depth`]. Lowering the depth
-    /// quiesces the window first, so the switch never reorders requests.
+    /// Sets the access-pipeline depth with the same meaning as
+    /// [`crate::TimingDriver::set_pipeline_depth`]: depth 1 (the default,
+    /// and `0` clamps to it) is the classic serialized controller, depth
+    /// `d > 1` overlaps up to `d` accesses. Changing it never reorders
+    /// requests: a lower depth retires the excess in-flight accesses at the
+    /// next access's window-overflow gate.
     pub fn set_pipeline_depth(&mut self, depth: u8) {
-        let depth = depth.max(1);
-        if depth == 1 {
-            self.quiesce();
-        }
-        self.depth = depth;
-        self.sink.set_pipelined(depth > 1);
+        self.scheduler.set_depth(depth);
     }
 
     /// The access-pipeline depth in force.
     pub fn pipeline_depth(&self) -> u8 {
-        self.depth
+        self.scheduler.depth()
     }
 
-    /// Resolves every in-flight access and folds the completions into
-    /// `free_at` — end-of-run draining and pre-switch quiescing.
+    /// Retires every in-flight access and returns the cycle the last
+    /// one's maintenance traffic finished draining.
     pub fn quiesce(&mut self) -> u64 {
-        let mut free = self.free_at.max(self.prev_online_done).max(self.crypto_exit);
-        while let Some(entry) = self.window.pop_front() {
-            free = free.max(self.sink.resolve_inflight(entry));
-        }
-        self.free_at = free;
-        free
+        self.scheduler.quiesce(&mut self.sink)
     }
 
+    /// Releases the staged access through the scheduler.
     fn finish(&mut self, start: u64, data: Option<[u8; BLOCK_BYTES]>) -> BackendReply {
-        if self.depth > 1 {
-            return self.finish_pipelined(start, data);
-        }
-        let done = match self.sink.issue_mode() {
-            crate::IssueMode::Serial => {
-                let (mut done, online_count) = self.sink.drain_online_reads(start);
-                done += self.crypto.burst_cycles(online_count);
-                done
-            }
-            crate::IssueMode::ChannelParallel => {
-                let mut completions = Vec::new();
-                self.sink.drain_online_read_times(&mut completions);
-                self.crypto.overlapped_exit(&mut completions).max(start)
-            }
-        };
-        self.free_at = self.sink.drain_all_requests(done);
-        BackendReply { data, done, free_at: self.free_at }
-    }
-
-    /// The pipelined completion path: the whole access is already staged;
-    /// resolve its dependency gates, release it, and leave its maintenance
-    /// traffic draining in the in-flight window. `free_at` stays at the
-    /// floor the window opened on — the reply's `free_at` reports this
-    /// access's own completion instead of a global drain.
-    fn finish_pipelined(&mut self, start: u64, data: Option<[u8; BLOCK_BYTES]>) -> BackendReply {
-        let mut footprint = std::mem::take(&mut self.footprint);
-        self.sink.staged_write_footprint(&mut footprint);
-
-        let mut gate = start.max(self.last_start).max(self.prev_online_done).max(self.free_at);
-        while self.window.len() >= usize::from(self.depth) {
-            let old = self.window.pop_front().expect("non-empty window");
-            gate = gate.max(self.sink.resolve_inflight(old));
-        }
-        for entry in &self.window {
-            gate = gate.max(self.sink.conflict_gate(entry, &footprint));
-        }
-        self.footprint = footprint;
-        self.sink.release_at(gate);
-        let at = gate;
-        self.last_start = at;
-
-        let mut completions = std::mem::take(&mut self.completions);
-        self.sink.drain_online_read_times(&mut completions);
-        let n = completions.len() as u64;
-        let last = completions.iter().max().copied().unwrap_or(0).max(at);
-        let done = if n == 0 {
-            at
-        } else {
-            let done = match self.sink.issue_mode() {
-                crate::IssueMode::Serial => (last + self.crypto.burst_cycles(n))
-                    .max(self.crypto_exit + n * self.crypto.per_block),
-                crate::IssueMode::ChannelParallel => {
-                    self.crypto.overlapped_exit_from(self.crypto_exit, &mut completions).max(at)
-                }
-            };
-            self.crypto_exit = done;
-            done
-        };
-        self.prev_online_done = last;
-        self.completions = completions;
-
-        let reqs = self.sink.take_tagged_requests();
-        self.window.push_back(InflightAccess::from_tagged(reqs));
-        BackendReply { data, done, free_at: done }
-    }
-
-    fn begin(&mut self, start: u64) -> u64 {
-        if self.depth > 1 {
-            // The arrival cycle is fixed only after the access is staged
-            // and its footprint inspected (finish_pipelined).
-            return start;
-        }
-        let at = start.max(self.free_at);
-        self.sink.set_now(at);
-        at
+        let (_, done) = self.scheduler.schedule(&mut self.sink, start);
+        BackendReply { data, done }
     }
 }
 
@@ -290,9 +177,8 @@ impl StorageBackend for TimedBackend {
         block: BlockId,
         new_data: Option<[u8; BLOCK_BYTES]>,
     ) -> Result<BackendReply, OramError> {
-        let at = self.begin(start);
         let data = self.oram.access(kind, block, new_data, &mut self.sink)?;
-        Ok(self.finish(at, data))
+        Ok(self.finish(start, data))
     }
 
     fn access_managed(
@@ -302,15 +188,13 @@ impl StorageBackend for TimedBackend {
         new_position: Option<PathId>,
         mutate: &mut PayloadMutator<'_>,
     ) -> Result<BackendReply, OramError> {
-        let at = self.begin(start);
         let data = self.oram.access_managed(block, new_position, mutate, &mut self.sink)?;
-        Ok(self.finish(at, Some(data)))
+        Ok(self.finish(start, Some(data)))
     }
 
     fn dummy_access(&mut self, start: u64) -> Result<BackendReply, OramError> {
-        let at = self.begin(start);
         self.oram.dummy_access(&mut self.sink)?;
-        Ok(self.finish(at, None))
+        Ok(self.finish(start, None))
     }
 
     fn engine(&self) -> &RingOram {
@@ -321,16 +205,12 @@ impl StorageBackend for TimedBackend {
         &mut self.oram
     }
 
-    fn free_at(&self) -> u64 {
-        self.free_at
-    }
-
     fn set_pipeline_depth(&mut self, depth: u8) {
         TimedBackend::set_pipeline_depth(self, depth);
     }
 
     fn pipeline_depth(&self) -> u8 {
-        self.depth
+        TimedBackend::pipeline_depth(self)
     }
 }
 
@@ -341,10 +221,13 @@ pub const UNTIMED_CYCLES_PER_TRANSFER: u64 = 4;
 
 /// Fast accounted backend: the same protocol over a [`CountingSink`], with
 /// a constant [`UNTIMED_CYCLES_PER_TRANSFER`] charged per 64 B transfer.
+/// Accesses serialize: each begins no earlier than the previous access's
+/// accounted drain (online and maintenance transfers alike).
 #[derive(Debug)]
 pub struct UntimedBackend {
     oram: RingOram,
     sink: CountingSink,
+    /// When the previous access's accounted transfers finished.
     free_at: u64,
 }
 
@@ -374,7 +257,7 @@ impl UntimedBackend {
         let total = self.sink.grand_total() - total0;
         let done = at + online * UNTIMED_CYCLES_PER_TRANSFER;
         self.free_at = at + total * UNTIMED_CYCLES_PER_TRANSFER;
-        BackendReply { data, done, free_at: self.free_at }
+        BackendReply { data, done }
     }
 }
 
@@ -419,10 +302,6 @@ impl StorageBackend for UntimedBackend {
     fn engine_mut(&mut self) -> &mut RingOram {
         &mut self.oram
     }
-
-    fn free_at(&self) -> u64 {
-        self.free_at
-    }
 }
 
 #[cfg(test)]
@@ -441,10 +320,10 @@ mod tests {
         let payload = [0x5A; BLOCK_BYTES];
         for backend in [&mut timed as &mut dyn StorageBackend, &mut untimed] {
             let w = backend.access(0, AccessKind::Write, 3, Some(payload)).unwrap();
-            assert!(w.done > 0 && w.free_at >= w.done);
-            let r = backend.access(w.free_at, AccessKind::Read, 3, None).unwrap();
+            assert!(w.done > 0);
+            let r = backend.access(w.done, AccessKind::Read, 3, None).unwrap();
             assert_eq!(r.data, Some(payload));
-            assert!(r.done > w.free_at, "second access starts after the first drained");
+            assert!(r.done > w.done, "second access completes after the first");
         }
     }
 
@@ -457,7 +336,7 @@ mod tests {
         assert_eq!(reply.data.unwrap()[0], 1, "managed access returns the pre-mutate payload");
         assert_eq!(backend.engine().stats().user_accesses, accesses0 + 1, "one access total");
         assert_eq!(backend.engine().position_of(7).unwrap(), PathId::new(0), "forced remap");
-        let read = backend.access(reply.free_at, AccessKind::Read, 7, None).unwrap();
+        let read = backend.access(reply.done, AccessKind::Read, 7, None).unwrap();
         assert_eq!(read.data.unwrap()[0], 99, "mutation persisted");
     }
 
@@ -494,8 +373,10 @@ mod tests {
     fn controller_serializes_early_arrivals() {
         let mut backend = UntimedBackend::new(&cfg()).unwrap();
         let a = backend.access(0, AccessKind::Read, 1, None).unwrap();
-        // Arrives while the controller is busy: starts at free_at, not 0.
+        // Arrives while the controller is busy: starts once the first
+        // access's maintenance transfers drained, not at cycle 1 — so its
+        // latency exceeds the online-only latency the first access paid.
         let b = backend.access(1, AccessKind::Read, 2, None).unwrap();
-        assert!(b.done > a.free_at);
+        assert!(b.done - 1 > a.done, "b {} vs a {}", b.done, a.done);
     }
 }

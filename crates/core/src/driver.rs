@@ -11,6 +11,7 @@ use crate::config::{IssueMode, OramConfig};
 use crate::error::OramError;
 use crate::fault::{FaultInjectingSink, FaultPlan, InjectedFaults};
 use crate::ring::{AccessKind, RingOram};
+use crate::scheduler::AccessScheduler;
 use crate::sink::{OramOp, TimingSink};
 use aboram_crypto::CryptoLatency;
 use aboram_dram::{DramConfig, MemorySystem, RobCpu};
@@ -178,19 +179,14 @@ pub struct TimingDriver {
     oram: RingOram,
     sink: FaultInjectingSink<TimingSink>,
     cpu: RobCpu,
-    crypto: CryptoLatency,
-    /// The ORAM controller serializes accesses; next access starts after
-    /// the previous one's online portion completes.
-    oram_free_at: u64,
-    /// Maximum concurrently in-flight accesses (1 = the classic serialized
-    /// controller; see [`set_pipeline_depth`](Self::set_pipeline_depth)).
-    pipeline_depth: u8,
+    /// The ORAM controller: crypto model, in-flight window and dependency
+    /// gates. Between runs the window is empty and its occupancy floor is
+    /// when the last access's maintenance traffic finished draining.
+    scheduler: AccessScheduler,
     /// Optional recursive position-map model (extension study; the paper
     /// keeps the posmap fully on-chip).
     posmap_model: Option<crate::recursion::PosMapHierarchy>,
 }
-
-use crate::sink::InflightAccess;
 
 impl TimingDriver {
     /// Builds the driver with the Table III core model (fetch 4, ROB 256)
@@ -213,9 +209,7 @@ impl TimingDriver {
             oram,
             sink: FaultInjectingSink::new(sink),
             cpu: RobCpu::new(4, 256),
-            crypto: CryptoLatency::default(),
-            oram_free_at: 0,
-            pipeline_depth: 1,
+            scheduler: AccessScheduler::new(CryptoLatency::default(), 0),
             posmap_model: None,
         }
     }
@@ -234,29 +228,24 @@ impl TimingDriver {
 
     /// Sets the access-pipeline depth: the maximum number of concurrently
     /// in-flight accesses. Depth 1 (the default, and `0` clamps to it) is
-    /// the classic serialized controller — the legacy schedule, bit-exact.
-    /// Depth > 1 lets access *i+1*'s read phase issue while access *i*'s
-    /// eviction/writeback and decrypt/verify pipeline drain, bounded by
-    /// true dependencies: the stash hand-off (an access starts no earlier
-    /// than the previous access's last online DRAM reply), `(channel,
-    /// bank, row)` footprint conflicts (same bucket/slot or posmap-ladder
-    /// reuse forces the earlier access's full completion), and the window
-    /// itself. The request set and intra-access order of every access are
-    /// unchanged — only the inter-access issue schedule shifts, which is
-    /// already public (DESIGN.md §15).
+    /// the classic serialized controller: an access starts only after the
+    /// previous one's maintenance traffic drained and its crypto exit
+    /// passed. Depth > 1 lets access *i+1*'s read phase issue while access
+    /// *i*'s eviction/writeback and decrypt/verify pipeline drain, bounded
+    /// by true dependencies: the stash hand-off (an access starts no
+    /// earlier than the previous access's last online DRAM reply),
+    /// write-after-read `(channel, bank, row)` conflicts (a writeback waits
+    /// for exactly the in-flight reads of the rows it overwrites), and the
+    /// window itself. The request set and intra-access order of every
+    /// access are unchanged — only the inter-access issue schedule shifts,
+    /// which is already public (DESIGN.md §15).
     pub fn set_pipeline_depth(&mut self, depth: u8) {
-        self.pipeline_depth = depth.max(1);
+        self.scheduler.set_depth(depth);
     }
 
     /// The access-pipeline depth in force.
     pub fn pipeline_depth(&self) -> u8 {
-        self.pipeline_depth
-    }
-
-    /// Resolves an in-flight access to its full completion cycle (see
-    /// [`TimingSink::resolve_inflight`]).
-    fn resolve_access(&mut self, entry: InflightAccess) -> u64 {
-        self.sink.inner_mut().resolve_inflight(entry)
+        self.scheduler.depth()
     }
 
     /// Activates chaos testing: installs `plan`'s channel-stall schedule
@@ -313,7 +302,7 @@ impl TimingDriver {
     /// Replaces the crypto latency model (e.g. [`CryptoLatency::free`] to
     /// isolate DRAM effects).
     pub fn set_crypto_latency(&mut self, lat: CryptoLatency) {
-        self.crypto = lat;
+        self.scheduler.set_crypto(lat);
     }
 
     /// Access to the engine (stats inspection, warm-up by protocol access).
@@ -373,7 +362,7 @@ impl TimingDriver {
             });
         }
         let sink = self.sink.inner();
-        if !sink.is_idle() {
+        if !sink.is_idle() || !self.scheduler.is_quiescent() {
             return Err(OramError::SnapshotInvalid {
                 reason: "driver has undrained requests; finish the run first".to_string(),
             });
@@ -383,15 +372,16 @@ impl TimingDriver {
         let mut w = Writer::new();
         w.bytes(&DRIVER_SNAPSHOT_MAGIC);
         w.u32(DRIVER_SNAPSHOT_VERSION);
-        w.u64(self.crypto.pipeline_fill);
-        w.u64(self.crypto.per_block);
-        w.u64(self.oram_free_at);
+        let crypto = self.scheduler.crypto();
+        w.u64(crypto.pipeline_fill);
+        w.u64(crypto.per_block);
+        w.u64(self.scheduler.free_at());
         w.u64(sink.now());
         w.u8(match sink.issue_mode() {
             IssueMode::Serial => 0,
             IssueMode::ChannelParallel => 1,
         });
-        w.u8(self.pipeline_depth);
+        w.u8(self.scheduler.depth());
         self.cpu.snapshot_into(&mut w);
         w.u64(engine.len() as u64);
         w.bytes(&engine);
@@ -424,7 +414,7 @@ impl TimingDriver {
             });
         }
         let crypto = CryptoLatency::new(r.u64()?, r.u64()?);
-        let oram_free_at = r.u64()?;
+        let free_at = r.u64()?;
         let now = r.u64()?;
         let issue_mode = match r.u8()? {
             0 => IssueMode::Serial,
@@ -435,7 +425,7 @@ impl TimingDriver {
                 })
             }
         };
-        let pipeline_depth = r.u8()?.max(1);
+        let pipeline_depth = r.u8()?;
         let cpu = aboram_dram::RobCpu::restore_from(&mut r).map_err(OramError::from)?;
         let engine_len = r.len_prefix(1)?;
         let oram = RingOram::restore(cfg, r.bytes(engine_len)?)?;
@@ -449,13 +439,13 @@ impl TimingDriver {
         let mut sink = TimingSink::new(memory);
         sink.set_now(now);
         sink.set_issue_mode(issue_mode);
+        let mut scheduler = AccessScheduler::new(crypto, free_at);
+        scheduler.set_depth(pipeline_depth);
         Ok(TimingDriver {
             oram,
             sink: FaultInjectingSink::new(sink),
             cpu,
-            crypto,
-            oram_free_at,
-            pipeline_depth,
+            scheduler,
             posmap_model: None,
         })
     }
@@ -544,25 +534,8 @@ impl TimingDriver {
             },
             1,
         );
-        // Completion-time scratch for the channel-parallel crypto overlap.
-        let mut completions: Vec<u64> = Vec::new();
         let mut online_latency_cycles = 0u64;
         let mut response_latency_cycles = 0u64;
-        // Access-pipelined state (all run-local; snapshots stay quiescent).
-        let pipelined = self.pipeline_depth > 1;
-        if pipelined {
-            self.sink.inner_mut().set_pipelined(true);
-        }
-        let mut window: std::collections::VecDeque<InflightAccess> =
-            std::collections::VecDeque::new();
-        let mut footprint: Vec<(u8, u16, u64)> = Vec::new();
-        // release_at must never move the sink clock backwards.
-        let mut last_start = self.sink.inner().now();
-        // The stash hand-off gate: the previous access's last online DRAM
-        // reply (its decrypt/verify tail may still be draining).
-        let mut prev_online_done = 0u64;
-        // The crypto pipeline's last exit cycle, carried across accesses.
-        let mut crypto_exit = 0u64;
         // Snapshot so the report covers the timed window only, not warm-up.
         let (users0, bg0, evicts0, resh0, recovery0) = {
             let s = self.oram.stats();
@@ -587,135 +560,17 @@ impl TimingDriver {
                 MemOp::Write => AccessKind::Write,
             };
 
-            let (start, done) = if !pipelined {
-                // Depth 1: the classic serialized controller, the legacy
-                // schedule verbatim (golden fixtures replay bit-exactly).
-                let start = issue.max(self.oram_free_at);
-                self.sink.inner_mut().set_now(start);
-                // Recursive position-map fetches (extension study) precede
-                // the data access: each PLB miss is one more full access.
-                if let Some(model) = &mut self.posmap_model {
-                    for _ in 0..model.access(block) {
-                        self.oram.dummy_access(&mut self.sink)?;
-                    }
+            // Stage the whole access — recursive position-map fetches
+            // (extension study) first, each PLB miss one more full access,
+            // in parent→child program order — then let the controller fix
+            // its arrival cycle and charge its crypto pipeline.
+            if let Some(model) = &mut self.posmap_model {
+                for _ in 0..model.access(block) {
+                    self.oram.dummy_access(&mut self.sink)?;
                 }
-                self.oram.access(kind, block, None, &mut self.sink)?;
-
-                // The user-visible critical path: the access's online reads
-                // plus the crypto pipeline on the returned blocks. Under the
-                // channel-parallel issue mode each block enters the decrypt
-                // pipeline as its channel returns it, so only the tail of
-                // the crypto burst that DRAM couldn't hide remains exposed.
-                let done = match self.sink.inner().issue_mode() {
-                    IssueMode::Serial => {
-                        let (mut done, online_count) =
-                            self.sink.inner_mut().drain_online_reads(start);
-                        done += self.crypto.burst_cycles(online_count);
-                        done
-                    }
-                    IssueMode::ChannelParallel => {
-                        self.sink.inner_mut().drain_online_read_times(&mut completions);
-                        let last = completions.iter().max().copied().unwrap_or(0).max(start);
-                        let serial_done = last + self.crypto.burst_cycles(completions.len() as u64);
-                        let done = self.crypto.overlapped_exit(&mut completions).max(start);
-                        aboram_telemetry::counter_add(
-                            "crypto.overlap_saved_cycles",
-                            serial_done.saturating_sub(done),
-                        );
-                        aboram_telemetry::counter_add(
-                            "crypto.overlapped_blocks",
-                            completions.len() as u64,
-                        );
-                        done
-                    }
-                };
-                // The ORAM controller serializes: the next access begins
-                // only after this one's maintenance traffic (evictPath,
-                // reshuffles) has been serviced. The user's load already
-                // completed at `done`; this models controller occupancy,
-                // not load latency.
-                self.oram_free_at = self.sink.inner_mut().drain_all_requests(done);
-                (start, done)
-            } else {
-                // Depth > 1: stage the whole access (posmap-ladder fetches
-                // included — serial staging preserves their parent→child
-                // program order), inspect its footprint, resolve its
-                // dependency gates, and only then fix its arrival cycle.
-                if let Some(model) = &mut self.posmap_model {
-                    for _ in 0..model.access(block) {
-                        self.oram.dummy_access(&mut self.sink)?;
-                    }
-                }
-                self.oram.access(kind, block, None, &mut self.sink)?;
-                self.sink.inner().staged_write_footprint(&mut footprint);
-
-                // True-dependency gates. `oram_free_at` here is the state
-                // left by the previous run (or restore) — traffic issued
-                // before this window opened.
-                let mut gate = issue.max(last_start).max(prev_online_done).max(self.oram_free_at);
-                // Window overflow: the oldest in-flight access must fully
-                // complete before a (depth+1)-th access may enter.
-                while window.len() >= usize::from(self.pipeline_depth) {
-                    let old = window.pop_front().expect("non-empty window");
-                    gate = gate.max(self.resolve_access(old));
-                }
-                // Footprint conflicts: this access's writebacks must not
-                // land in a `(channel, bank, row)` location (same
-                // bucket/slot, metadata block, or posmap-ladder level) an
-                // in-flight access has not finished reading — the
-                // write-after-read hazard. RAW and WAW need no gate here
-                // (see `TimingSink::conflict_gate`).
-                for entry in &window {
-                    gate = gate.max(self.sink.inner_mut().conflict_gate(entry, &footprint));
-                }
-                let start = gate;
-                self.sink.inner_mut().release_at(start);
-                last_start = start;
-
-                // Online completion + crypto exit, with the pipeline busy
-                // floor carried across access boundaries — back-to-back
-                // accesses share one decrypt/verify pipeline.
-                self.sink.inner_mut().drain_online_read_times(&mut completions);
-                let n = completions.len() as u64;
-                let last = completions.iter().max().copied().unwrap_or(0).max(start);
-                let done = if n == 0 {
-                    start
-                } else {
-                    let done = match self.sink.inner().issue_mode() {
-                        IssueMode::Serial => {
-                            // The serialized charge (whole burst after the
-                            // last reply), floored by the busy pipeline.
-                            (last + self.crypto.burst_cycles(n))
-                                .max(crypto_exit + n * self.crypto.per_block)
-                        }
-                        IssueMode::ChannelParallel => {
-                            let serial_done = last + self.crypto.burst_cycles(n);
-                            let done = self
-                                .crypto
-                                .overlapped_exit_from(crypto_exit, &mut completions)
-                                .max(start);
-                            aboram_telemetry::counter_add(
-                                "crypto.overlap_saved_cycles",
-                                serial_done.saturating_sub(done),
-                            );
-                            aboram_telemetry::counter_add("crypto.overlapped_blocks", n);
-                            done
-                        }
-                    };
-                    crypto_exit = done;
-                    done
-                };
-                prev_online_done = last;
-
-                let reqs = self.sink.inner_mut().take_tagged_requests();
-                window.push_back(InflightAccess::from_tagged(reqs));
-                aboram_telemetry::observe_level(
-                    "pipeline.occupancy",
-                    window.len().min(255) as u8,
-                    1,
-                );
-                (start, done)
-            };
+            }
+            self.oram.access(kind, block, None, &mut self.sink)?;
+            let (start, done) = self.scheduler.schedule(self.sink.inner_mut(), issue);
 
             online_latency_cycles += done.saturating_sub(start);
             response_latency_cycles += done.saturating_sub(issue);
@@ -726,16 +581,8 @@ impl TimingDriver {
 
         // Drain the in-flight window: the controller is free once every
         // access's maintenance traffic has been serviced.
-        let mut free_at = self.oram_free_at.max(prev_online_done).max(crypto_exit);
-        while let Some(entry) = window.pop_front() {
-            free_at = free_at.max(self.resolve_access(entry));
-        }
-        self.oram_free_at = free_at;
-        if pipelined {
-            self.sink.inner_mut().set_pipelined(false);
-        }
-
-        let exec_cycles = self.cpu.finish().max(self.oram_free_at);
+        let free_at = self.scheduler.quiesce(self.sink.inner_mut());
+        let exec_cycles = self.cpu.finish().max(free_at);
         self.sink.inner_mut().memory_mut().drain();
         let mem = self.sink.inner().memory().stats();
         let mut breakdown = BreakdownReport::default();
@@ -977,7 +824,7 @@ mod snapshot_tests {
         let restored =
             TimingDriver::restore(&cfg, DramConfig::default(), &driver.snapshot().unwrap())
                 .unwrap();
-        assert_eq!(restored.oram_free_at, driver.oram_free_at);
+        assert_eq!(restored.scheduler.free_at(), driver.scheduler.free_at());
         assert_eq!(restored.cpu.now(), driver.cpu.now());
         assert_eq!(restored.sink.inner().now(), driver.sink.inner().now());
     }

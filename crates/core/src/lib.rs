@@ -55,6 +55,7 @@ mod path_oram;
 mod posmap;
 mod recursion;
 mod ring;
+mod scheduler;
 mod security;
 mod segvec;
 mod sink;

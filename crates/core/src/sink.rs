@@ -11,7 +11,7 @@
 
 use crate::config::IssueMode;
 use crate::fault::{FaultKind, FaultSite};
-use aboram_dram::{MemOpKind, MemorySystem, Priority, RequestId};
+use aboram_dram::{DecodedAddr, MemOpKind, MemorySystem, Priority, RequestId};
 use aboram_telemetry::Phase;
 use aboram_tree::SlotAddr;
 
@@ -87,8 +87,8 @@ pub trait MemorySink {
     fn write(&mut self, addr: SlotAddr, op: OramOp, online: bool);
     /// A batch of 64 B reads, issued in slice order. Semantically identical
     /// to calling [`read`](Self::read) once per address (the default does
-    /// exactly that); sinks backed by the memory system override it to issue
-    /// the whole bucket's worth of commands as one batch.
+    /// exactly that); [`CountingSink`] overrides it to count the whole
+    /// bucket's worth of commands in one step.
     fn read_batch(&mut self, addrs: &[SlotAddr], op: OramOp, online: bool) {
         for &addr in addrs {
             self.read(addr, op, online);
@@ -200,95 +200,55 @@ impl MemorySink for CountingSink {
 
 /// A sink backed by the cycle-level DRAM model.
 ///
-/// The driver sets the CPU timestamp with [`set_now`](TimingSink::set_now)
-/// before each ORAM access; online reads are collected so the driver can ask
-/// when the access's critical path completed
-/// ([`take_online_reads`](TimingSink::take_online_reads)).
+/// The sink *stages* each access's requests instead of enqueueing them:
+/// the controller ([`crate::TimingDriver`] or [`crate::TimedBackend`])
+/// fixes the access's arrival cycle only after the whole access is staged —
+/// it may inspect the staged write footprint
+/// ([`staged_write_footprint`](TimingSink::staged_write_footprint)) to
+/// resolve `(channel, bank, row)` conflicts against accesses still in
+/// flight — and then releases it with [`release_at`](TimingSink::release_at).
 ///
-/// In [`IssueMode::ChannelParallel`] the sink stages each access's requests
-/// instead of enqueueing them immediately, then releases them to the memory
-/// system grouped by DRAM channel and ordered `(bank, row)` within each
-/// channel — the issue order a controller that sees the whole access up
-/// front would choose for row locality. The request *set* is identical to
-/// serial mode (same addresses, kinds, priorities, tags, arrival cycle);
-/// only the intra-access order the per-channel FR-FCFS schedulers break
-/// same-cycle ties in changes, so the externally observable access pattern
-/// is unchanged (DESIGN.md §14).
-///
-/// In *pipelined* operation ([`set_pipelined`](TimingSink::set_pipelined))
-/// the sink stages under *both* issue modes: the access-pipelined driver
-/// decides the access's final arrival cycle only after seeing its staged
-/// footprint (to resolve `(channel, bank, row)` conflicts against in-flight
-/// accesses), then releases the whole access with
-/// [`release_at`](TimingSink::release_at). A serial-mode flush preserves
-/// program order, so a pipelined serial release enqueues exactly what
-/// immediate issue at the same cycle would (DESIGN.md §15).
+/// [`IssueMode::Serial`] releases in program order. In
+/// [`IssueMode::ChannelParallel`] the release groups requests by DRAM
+/// channel and orders them `(bank, row)` within each channel — the issue
+/// order a controller that sees the whole access up front would choose for
+/// row locality. The request *set* is identical in both modes (same
+/// addresses, kinds, priorities, tags, arrival cycle); only the
+/// intra-access order the per-channel FR-FCFS schedulers break same-cycle
+/// ties in changes, so the externally observable access pattern is
+/// unchanged (DESIGN.md §14).
 #[derive(Debug)]
 pub struct TimingSink {
     memory: MemorySystem,
     now: u64,
     online_reads: Vec<RequestId>,
-    all_requests: Vec<RequestId>,
+    /// Every request released since the last
+    /// [`take_issued`](TimingSink::take_issued), with its decoded
+    /// `(channel, bank, row)` location and kind.
+    issued: Vec<IssuedRequest>,
     issue_mode: IssueMode,
     staged: Vec<StagedRequest>,
-    pipelined: bool,
-    /// Per-request `(channel, bank, row)` tags and kinds, parallel to
-    /// `all_requests`; recorded only while pipelined staging is on.
-    tagged: Vec<(RequestId, (u8, u16, u64), MemOpKind)>,
 }
 
-/// One access in an access-pipelined in-flight window: its undrained
-/// requests with their decoded `(channel, bank, row)` locations and kinds,
-/// plus the deduplicated sorted footprint of its *reads* — the locations a
-/// later access's writeback must not overwrite before they are served
-/// (write-after-read, the one DRAM-level hazard the window has to order
-/// explicitly; see [`TimingSink::conflict_gate`]). Shared by
-/// [`crate::TimingDriver`] and [`crate::TimedBackend`].
-#[derive(Debug)]
-pub(crate) struct InflightAccess {
-    pub(crate) reqs: Vec<(RequestId, (u8, u16, u64), MemOpKind)>,
-    pub(crate) read_footprint: Vec<(u8, u16, u64)>,
-}
+/// One released request with its decoded `(channel, bank, row)` and kind.
+pub(crate) type IssuedRequest = (RequestId, (u8, u16, u64), MemOpKind);
 
-impl InflightAccess {
-    /// Builds the window entry from a drained
-    /// [`TimingSink::take_tagged_requests`] batch.
-    pub(crate) fn from_tagged(reqs: Vec<(RequestId, (u8, u16, u64), MemOpKind)>) -> Self {
-        let mut read_footprint: Vec<(u8, u16, u64)> = reqs
-            .iter()
-            .filter(|&&(_, _, kind)| kind == MemOpKind::Read)
-            .map(|&(_, key, _)| key)
-            .collect();
-        read_footprint.sort_unstable();
-        read_footprint.dedup();
-        InflightAccess { reqs, read_footprint }
-    }
-}
-
-/// Whether two sorted footprints share any `(channel, bank, row)` location.
-pub(crate) fn footprints_intersect(a: &[(u8, u16, u64)], b: &[(u8, u16, u64)]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Equal => return true,
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-        }
-    }
-    false
-}
-
-/// A request buffered by the channel-parallel issue mode, with its decoded
-/// location as the grouping key.
+/// A request buffered until its access is released, decoded once at
+/// staging time.
 #[derive(Debug, Clone, Copy)]
 struct StagedRequest {
     kind: MemOpKind,
-    addr: u64,
+    loc: DecodedAddr,
     priority: Priority,
     tag: u32,
     online: bool,
-    /// `(channel, bank, row)` sort key, precomputed at staging time.
-    key: (u8, u16, u64),
+}
+
+impl StagedRequest {
+    /// The `(channel, bank, row)` grouping key.
+    fn key(&self) -> (u8, u16, u64) {
+        (self.loc.channel, self.loc.bank, self.loc.row)
+    }
 }
 
 impl TimingSink {
@@ -298,11 +258,9 @@ impl TimingSink {
             memory,
             now: 0,
             online_reads: Vec::new(),
-            all_requests: Vec::new(),
+            issued: Vec::new(),
             issue_mode: IssueMode::Serial,
             staged: Vec::new(),
-            pipelined: false,
-            tagged: Vec::new(),
         }
     }
 
@@ -319,26 +277,10 @@ impl TimingSink {
         self.issue_mode
     }
 
-    /// Turns access-pipelined staging on or off. While on, requests are
-    /// staged under *both* issue modes and released by
-    /// [`release_at`](TimingSink::release_at) once the driver has fixed the
-    /// access's arrival cycle. The access boundary is forced first so no
-    /// request crosses the switch.
-    pub fn set_pipelined(&mut self, on: bool) {
-        self.access_boundary();
-        self.pipelined = on;
-    }
-
-    /// Whether access-pipelined staging is in force.
-    pub fn pipelined(&self) -> bool {
-        self.pipelined
-    }
-
     /// The single access-boundary choke point: every staged request of the
     /// current access is released to the memory system here, and every
-    /// operation that ends or inspects an access (clock moves, drains, id
-    /// take-overs, mode switches, pipelined releases) funnels through this
-    /// helper.
+    /// operation that ends or inspects an access (clock moves, drains,
+    /// mode switches, releases) funnels through this helper.
     ///
     /// A serial-mode release preserves program order; a channel-parallel
     /// release groups by channel and orders `(bank, row)` within each
@@ -350,17 +292,14 @@ impl TimingSink {
         }
         let mut staged = std::mem::take(&mut self.staged);
         if self.issue_mode == IssueMode::ChannelParallel {
-            staged.sort_by_key(|r| r.key);
+            staged.sort_by_key(StagedRequest::key);
         }
         for r in staged.drain(..) {
-            let id = self.memory.enqueue(r.kind, r.addr, r.priority, r.tag, self.now);
+            let id = self.memory.enqueue_decoded(r.kind, r.loc, r.priority, r.tag, self.now);
             if r.online && r.kind == MemOpKind::Read {
                 self.online_reads.push(id);
             }
-            self.all_requests.push(id);
-            if self.pipelined {
-                self.tagged.push((id, r.key, r.kind));
-            }
+            self.issued.push((id, r.key(), r.kind));
         }
         self.staged = staged;
     }
@@ -374,14 +313,10 @@ impl TimingSink {
         self.now = cycle;
     }
 
-    /// Pipelined release: moves the clock to `cycle` *first*, then forces
-    /// the access boundary so the staged access arrives at that cycle.
-    /// This is the one boundary whose staged requests belong to the access
-    /// *being released* rather than a finished one — the pipelined driver
-    /// stages the whole access, inspects its footprint, resolves its
-    /// dependency gates, and only then knows the arrival cycle. `cycle`
-    /// must be ≥ the last timestamp (the memory model's non-decreasing
-    /// contract).
+    /// Releases the staged access: moves the clock to `cycle` *first*,
+    /// then forces the access boundary so the staged requests arrive at
+    /// that cycle. `cycle` must be ≥ the last timestamp (the memory
+    /// model's non-decreasing contract).
     pub fn release_at(&mut self, cycle: u64) {
         debug_assert!(cycle >= self.now, "release_at must not move the clock backwards");
         self.now = cycle;
@@ -389,42 +324,27 @@ impl TimingSink {
     }
 
     /// The distinct `(channel, bank, row)` locations the currently staged
-    /// access *writes*, sorted — the footprint the pipelined driver
-    /// intersects against in-flight accesses' read footprints to detect
-    /// same-bucket/slot write-after-read hazards. Empty unless staging is
-    /// in force.
+    /// access *writes*, sorted — the footprint the controller intersects
+    /// against in-flight accesses' read footprints to detect
+    /// same-bucket/slot write-after-read hazards.
     pub fn staged_write_footprint(&self, out: &mut Vec<(u8, u16, u64)>) {
         out.clear();
-        out.extend(self.staged.iter().filter(|r| r.kind == MemOpKind::Write).map(|r| r.key));
+        out.extend(
+            self.staged.iter().filter(|r| r.kind == MemOpKind::Write).map(StagedRequest::key),
+        );
         out.sort_unstable();
         out.dedup();
     }
 
-    /// Drains the identifiers of online reads issued since the last call.
-    pub fn take_online_reads(&mut self) -> Vec<RequestId> {
+    /// Hands over every request released since the last call, with its
+    /// decoded `(channel, bank, row)` location and kind, and continues
+    /// recording into `spare` (cleared) — the controller's in-flight window
+    /// keeps the returned list so a footprint conflict can wait on exactly
+    /// the same-row reads rather than the whole access's drain.
+    pub(crate) fn take_issued(&mut self, mut spare: Vec<IssuedRequest>) -> Vec<IssuedRequest> {
         self.access_boundary();
-        std::mem::take(&mut self.online_reads)
-    }
-
-    /// Drains the identifiers of *all* requests issued since the last call
-    /// (the ORAM controller serializes on these: the next access begins
-    /// after the previous one's maintenance traffic completes).
-    pub fn take_all_requests(&mut self) -> Vec<RequestId> {
-        self.access_boundary();
-        self.tagged.clear();
-        std::mem::take(&mut self.all_requests)
-    }
-
-    /// Drains every request issued since the last drain together with its
-    /// decoded `(channel, bank, row)` location and kind. The pipelined
-    /// driver keeps these in its in-flight window so a footprint conflict
-    /// can wait on exactly the same-row reads rather than the whole
-    /// access's eviction drain. Recorded only while pipelined staging is
-    /// on.
-    pub fn take_tagged_requests(&mut self) -> Vec<(RequestId, (u8, u16, u64), MemOpKind)> {
-        self.access_boundary();
-        self.all_requests.clear();
-        std::mem::take(&mut self.tagged)
+        spare.clear();
+        std::mem::replace(&mut self.issued, spare)
     }
 
     /// The completion cycle of `id` (forces scheduling as needed).
@@ -432,66 +352,10 @@ impl TimingSink {
         self.memory.completion_time(id)
     }
 
-    /// Resolves an in-flight access to its full completion cycle — the
-    /// latest completion over all of its requests, reads and writebacks
-    /// alike. Forcing the lazy completion times here is what makes the
-    /// pipeline's window-overflow gate a true dependency.
-    pub(crate) fn resolve_inflight(&mut self, entry: InflightAccess) -> u64 {
-        entry.reqs.into_iter().map(|(id, _, _)| self.memory.completion_time(id)).max().unwrap_or(0)
-    }
-
-    /// The earliest cycle at which a new access writing `write_footprint`
-    /// may issue without overwriting a location `entry` has not finished
-    /// reading: the latest completion over exactly `entry`'s reads in the
-    /// shared `(channel, bank, row)` rows (zero when disjoint).
-    ///
-    /// Write-after-read is the one DRAM-level hazard the window orders
-    /// explicitly. Read-after-write needs no gate — a read of a location
-    /// with a pending writeback is served from the controller's write
-    /// queue (and the protocol state it would observe is already on chip:
-    /// the stash hand-off gate runs strictly later than the forwarding
-    /// point). Write-after-write needs none either: per-bank queues serve
-    /// same-row writes in arrival order. Gating on the conflicting
-    /// access's *writes* would instead re-serialize the controller — every
-    /// pair of paths shares rows near the root, and offline writebacks are
-    /// deprioritized to the end of the drain.
-    pub(crate) fn conflict_gate(
-        &mut self,
-        entry: &InflightAccess,
-        write_footprint: &[(u8, u16, u64)],
-    ) -> u64 {
-        let mut gate = 0;
-        if footprints_intersect(&entry.read_footprint, write_footprint) {
-            for &(id, key, kind) in &entry.reqs {
-                if kind == MemOpKind::Read && write_footprint.binary_search(&key).is_ok() {
-                    gate = gate.max(self.memory.completion_time(id));
-                }
-            }
-        }
-        gate
-    }
-
-    /// Schedules every pending online read, clears the pending list and
-    /// returns `(latest completion cycle, read count)` — the allocation-free
-    /// equivalent of [`take_online_reads`](TimingSink::take_online_reads)
-    /// followed by per-id [`completion_time`](TimingSink::completion_time).
-    /// `floor` seeds the maximum (the access's start cycle).
-    pub fn drain_online_reads(&mut self, floor: u64) -> (u64, u64) {
-        self.access_boundary();
-        let mut done = floor;
-        for i in 0..self.online_reads.len() {
-            done = done.max(self.memory.completion_time(self.online_reads[i]));
-        }
-        let count = self.online_reads.len() as u64;
-        self.online_reads.clear();
-        (done, count)
-    }
-
     /// Schedules every pending online read and appends each one's completion
-    /// cycle to `into` (unordered), clearing the pending list. The
-    /// channel-parallel drain: callers fold the individual completions
-    /// through [`aboram_crypto::CryptoLatency::overlapped_exit`] instead of
-    /// serializing the crypto burst after the latest one.
+    /// cycle to `into` (unordered), clearing the pending list. Callers fold
+    /// the completions through the crypto model
+    /// ([`aboram_crypto::CryptoLatency`]).
     pub fn drain_online_read_times(&mut self, into: &mut Vec<u64>) {
         self.access_boundary();
         into.clear();
@@ -501,34 +365,15 @@ impl TimingSink {
         self.online_reads.clear();
     }
 
-    /// Schedules *every* request issued since the last drain, clears the
-    /// pending list and returns the latest completion cycle (at least
-    /// `floor`) — the allocation-free equivalent of
-    /// [`take_all_requests`](TimingSink::take_all_requests) followed by
-    /// per-id completion lookups.
-    pub fn drain_all_requests(&mut self, floor: u64) -> u64 {
-        self.access_boundary();
-        let mut done = floor;
-        for i in 0..self.all_requests.len() {
-            done = done.max(self.memory.completion_time(self.all_requests[i]));
-        }
-        self.all_requests.clear();
-        self.tagged.clear();
-        done
-    }
-
-    /// The arrival timestamp set by the last [`set_now`](TimingSink::set_now).
+    /// The arrival timestamp of the last released access.
     pub fn now(&self) -> u64 {
         self.now
     }
 
-    /// Whether every issued request has been drained (no ids pending a
+    /// Whether every issued request has been handed over (no ids pending a
     /// completion-time query, nothing staged). Snapshots require this.
     pub fn is_idle(&self) -> bool {
-        self.online_reads.is_empty()
-            && self.all_requests.is_empty()
-            && self.staged.is_empty()
-            && self.tagged.is_empty()
+        self.online_reads.is_empty() && self.issued.is_empty() && self.staged.is_empty()
     }
 
     /// Access to the underlying memory system (stats, drain).
@@ -540,92 +385,25 @@ impl TimingSink {
     pub fn memory_mut(&mut self) -> &mut MemorySystem {
         &mut self.memory
     }
-}
 
-impl TimingSink {
-    fn stage(&mut self, kind: MemOpKind, addr: u64, priority: Priority, tag: u32, online: bool) {
-        let d = self.memory.decode_addr(addr);
+    fn stage(&mut self, kind: MemOpKind, addr: SlotAddr, op: OramOp, online: bool) {
         self.staged.push(StagedRequest {
             kind,
-            addr,
-            priority,
-            tag,
+            loc: self.memory.decode_addr(addr.byte()),
+            priority: if online { Priority::Online } else { Priority::Offline },
+            tag: op.tag(),
             online,
-            key: (d.channel, d.bank, d.row),
         });
-    }
-
-    fn issue(&mut self, kind: MemOpKind, addr: u64, priority: Priority, tag: u32, online: bool) {
-        match self.issue_mode {
-            IssueMode::Serial if !self.pipelined => {
-                let id = self.memory.enqueue(kind, addr, priority, tag, self.now);
-                if online && kind == MemOpKind::Read {
-                    self.online_reads.push(id);
-                }
-                self.all_requests.push(id);
-            }
-            // Channel-parallel always stages; pipelined serial stages too
-            // (the access boundary releases in program order), so the
-            // driver can inspect the footprint before fixing arrival.
-            _ => self.stage(kind, addr, priority, tag, online),
-        }
     }
 }
 
 impl MemorySink for TimingSink {
     fn read(&mut self, addr: SlotAddr, op: OramOp, online: bool) {
-        let pri = if online { Priority::Online } else { Priority::Offline };
-        self.issue(MemOpKind::Read, addr.byte(), pri, op.tag(), online);
+        self.stage(MemOpKind::Read, addr, op, online);
     }
 
     fn write(&mut self, addr: SlotAddr, op: OramOp, online: bool) {
-        let pri = if online { Priority::Online } else { Priority::Offline };
-        self.issue(MemOpKind::Write, addr.byte(), pri, op.tag(), online);
-    }
-
-    fn read_batch(&mut self, addrs: &[SlotAddr], op: OramOp, online: bool) {
-        let pri = if online { Priority::Online } else { Priority::Offline };
-        match self.issue_mode {
-            IssueMode::Serial if !self.pipelined => {
-                let ids = self.memory.enqueue_batch(
-                    MemOpKind::Read,
-                    addrs.iter().map(|a| a.byte()),
-                    pri,
-                    op.tag(),
-                    self.now,
-                );
-                if online {
-                    self.online_reads.extend(ids.clone());
-                }
-                self.all_requests.extend(ids);
-            }
-            _ => {
-                for &addr in addrs {
-                    self.stage(MemOpKind::Read, addr.byte(), pri, op.tag(), online);
-                }
-            }
-        }
-    }
-
-    fn write_batch(&mut self, addrs: &[SlotAddr], op: OramOp, online: bool) {
-        let pri = if online { Priority::Online } else { Priority::Offline };
-        match self.issue_mode {
-            IssueMode::Serial if !self.pipelined => {
-                let ids = self.memory.enqueue_batch(
-                    MemOpKind::Write,
-                    addrs.iter().map(|a| a.byte()),
-                    pri,
-                    op.tag(),
-                    self.now,
-                );
-                self.all_requests.extend(ids);
-            }
-            _ => {
-                for &addr in addrs {
-                    self.stage(MemOpKind::Write, addr.byte(), pri, op.tag(), online);
-                }
-            }
-        }
+        self.stage(MemOpKind::Write, addr, op, online);
     }
 }
 
@@ -651,14 +429,19 @@ mod tests {
     #[test]
     fn timing_sink_tracks_online_reads() {
         let mut s = TimingSink::new(MemorySystem::new(DramConfig::default()));
-        s.set_now(100);
         s.read(SlotAddr(0), OramOp::ReadPath, true);
         s.read(SlotAddr(4096), OramOp::EvictPath, false);
         s.write(SlotAddr(128), OramOp::EvictPath, false);
-        let online = s.take_online_reads();
-        assert_eq!(online.len(), 1);
-        assert!(s.completion_time(online[0]) > 100);
-        assert!(s.take_online_reads().is_empty(), "drained");
+        assert!(!s.is_idle(), "requests stay staged until release");
+        s.release_at(100);
+        let mut times = Vec::new();
+        s.drain_online_read_times(&mut times);
+        assert_eq!(times.len(), 1);
+        assert!(times[0] > 100);
+        s.drain_online_read_times(&mut times);
+        assert!(times.is_empty(), "drained");
+        assert_eq!(s.take_issued(Vec::new()).len(), 3);
+        assert!(s.is_idle());
         s.memory_mut().drain();
         assert_eq!(s.memory().stats().total_requests(), 3);
     }
@@ -671,30 +454,25 @@ mod tests {
         let mut serial = mk();
         let mut par = mk();
         par.set_issue_mode(IssueMode::ChannelParallel);
+        let mut issued = Vec::new();
         for s in [&mut serial, &mut par] {
-            s.set_now(10);
             for &a in &addrs {
                 s.read(a, OramOp::Metadata, true);
             }
             s.read_batch(&addrs, OramOp::ReadPath, true);
             s.write_batch(&addrs, OramOp::EvictPath, false);
-        }
-        assert!(!par.is_idle(), "requests stay staged until a drain");
-
-        let (serial_done, serial_n) = serial.drain_online_reads(10);
-        let mut times = Vec::new();
-        par.drain_online_read_times(&mut times);
-        assert_eq!(times.len() as u64, serial_n);
-        // The latest online completion exists in both modes (values may
-        // differ; the request set may be serviced in a different order).
-        assert!(times.iter().max().copied().unwrap_or(0) > 0 && serial_done > 10);
-
-        serial.drain_all_requests(serial_done);
-        par.drain_all_requests(10);
-        assert!(serial.is_idle() && par.is_idle());
-        for s in [&mut serial, &mut par] {
+            s.release_at(10);
+            let mut times = Vec::new();
+            s.drain_online_read_times(&mut times);
+            assert_eq!(times.len(), 2 * addrs.len());
+            assert!(times.iter().all(|&t| t > 10));
+            let mut reqs: Vec<_> = s.take_issued(Vec::new()).iter().map(|r| (r.1, r.2)).collect();
+            reqs.sort_unstable_by_key(|&(key, kind)| (key, kind == MemOpKind::Write));
+            issued.push(reqs);
+            assert!(s.is_idle());
             s.memory_mut().drain();
         }
+        assert_eq!(issued[0], issued[1], "same locations and kinds in both modes");
         let (a, b) = (serial.memory().stats(), par.memory().stats());
         assert_eq!(a.total_requests(), b.total_requests());
         assert_eq!(a.reads(), b.reads());
@@ -702,53 +480,7 @@ mod tests {
         for op in OramOp::ALL {
             assert_eq!(a.requests_for_tag(op.tag()), b.requests_for_tag(op.tag()));
         }
-        assert_eq!(
-            a.requests_by_channel().iter().sum::<u64>(),
-            b.requests_by_channel().iter().sum::<u64>(),
-        );
-    }
-
-    #[test]
-    fn pipelined_serial_release_matches_immediate_issue() {
-        // A pipelined serial-mode access staged and released at cycle `t`
-        // must enqueue the identical request sequence (order, kinds,
-        // arrival) as unpipelined serial issue at the same `t` — depth-1
-        // pipelining is the legacy schedule by construction.
-        let mk = || TimingSink::new(MemorySystem::new(DramConfig::default()));
-        let addrs: Vec<SlotAddr> = (0..12).map(|i| SlotAddr(i * 4096 + 128)).collect();
-
-        let mut plain = mk();
-        plain.set_now(50);
-        for &a in &addrs {
-            plain.read(a, OramOp::ReadPath, true);
-        }
-        plain.write_batch(&addrs, OramOp::EvictPath, false);
-
-        let mut piped = mk();
-        piped.set_pipelined(true);
-        for &a in &addrs {
-            piped.read(a, OramOp::ReadPath, true);
-        }
-        piped.write_batch(&addrs, OramOp::EvictPath, false);
-        assert!(!piped.is_idle(), "requests stay staged until release");
-        let mut fp = Vec::new();
-        piped.staged_write_footprint(&mut fp);
-        assert!(!fp.is_empty() && fp.windows(2).all(|w| w[0] < w[1]), "sorted distinct footprint");
-        piped.release_at(50);
-
-        let (a, b) = (plain.drain_all_requests(0), piped.drain_all_requests(0));
-        assert_eq!(a, b, "identical completion schedule");
-        for s in [&mut plain, &mut piped] {
-            s.memory_mut().drain();
-        }
-        assert_eq!(
-            plain.memory().stats().total_requests(),
-            piped.memory().stats().total_requests()
-        );
-        assert_eq!(
-            plain.memory().stats().bytes_transferred(),
-            piped.memory().stats().bytes_transferred()
-        );
+        assert_eq!(a.requests_by_channel(), b.requests_by_channel());
     }
 
     #[test]

@@ -51,4 +51,4 @@ pub use cpu::RobCpu;
 pub use energy::{EnergyParams, EnergyReport};
 pub use mapping::DecodedAddr;
 pub use stats::{MemoryStats, RowBufferOutcome};
-pub use system::{dram_config_digest, MemorySystem, RequestIdRange, DRAM_SNAPSHOT_VERSION};
+pub use system::{dram_config_digest, MemorySystem, DRAM_SNAPSHOT_VERSION};

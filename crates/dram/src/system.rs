@@ -49,35 +49,6 @@ pub struct MemorySystem {
 /// Completion cycles are CPU cycles and can never reach `u64::MAX`.
 const NOT_DONE: u64 = u64::MAX;
 
-/// The contiguous block of [`RequestId`]s minted by one
-/// [`MemorySystem::enqueue_batch`] call, in issue order.
-#[derive(Debug, Clone)]
-pub struct RequestIdRange {
-    next: u64,
-    end: u64,
-}
-
-impl Iterator for RequestIdRange {
-    type Item = RequestId;
-
-    fn next(&mut self) -> Option<RequestId> {
-        if self.next < self.end {
-            let id = RequestId(self.next);
-            self.next += 1;
-            Some(id)
-        } else {
-            None
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = (self.end - self.next) as usize;
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for RequestIdRange {}
-
 impl MemorySystem {
     /// Creates a memory system from a configuration.
     pub fn new(cfg: DramConfig) -> Self {
@@ -114,51 +85,26 @@ impl MemorySystem {
         tag: u32,
         now: u64,
     ) -> RequestId {
-        let id = self.enqueue_inner(kind, addr, priority, tag, now);
-        let depth = self.channels[self.routing[id.0 as usize] as usize].queue_depth();
-        aboram_telemetry::gauge("dram.queue_depth", depth as f64);
-        id
+        self.enqueue_decoded(kind, self.decode_addr(addr), priority, tag, now)
     }
 
-    /// Enqueues a batch of same-kind requests in slice order (one bucket's
-    /// commands), returning their contiguous id range. Identical semantics
-    /// to calling [`enqueue`](MemorySystem::enqueue) per address, except the
-    /// `dram.queue_depth` gauge is sampled once after the batch (its
-    /// last-value reading is the same either way).
-    pub fn enqueue_batch(
+    /// [`enqueue`](MemorySystem::enqueue) for an address already decoded by
+    /// [`decode_addr`](MemorySystem::decode_addr), so an issue layer that
+    /// groups requests by location decodes each address once.
+    pub fn enqueue_decoded(
         &mut self,
         kind: MemOpKind,
-        addrs: impl IntoIterator<Item = u64>,
-        priority: Priority,
-        tag: u32,
-        now: u64,
-    ) -> RequestIdRange {
-        let start = self.routing.len() as u64;
-        let mut last_channel = None;
-        for addr in addrs {
-            let id = self.enqueue_inner(kind, addr, priority, tag, now);
-            last_channel = Some(self.routing[id.0 as usize]);
-        }
-        if let Some(ch) = last_channel {
-            let depth = self.channels[ch as usize].queue_depth();
-            aboram_telemetry::gauge("dram.queue_depth", depth as f64);
-        }
-        RequestIdRange { next: start, end: self.routing.len() as u64 }
-    }
-
-    fn enqueue_inner(
-        &mut self,
-        kind: MemOpKind,
-        addr: u64,
+        decoded: DecodedAddr,
         priority: Priority,
         tag: u32,
         now: u64,
     ) -> RequestId {
         let id = RequestId(self.routing.len() as u64);
-        let decoded = decode(&self.cfg, addr);
         self.routing.push(decoded.channel);
         self.completions.push(NOT_DONE);
-        self.channels[decoded.channel as usize].enqueue(id, kind, priority, tag, decoded, now);
+        let channel = &mut self.channels[decoded.channel as usize];
+        channel.enqueue(id, kind, priority, tag, decoded, now);
+        aboram_telemetry::gauge("dram.queue_depth", channel.queue_depth() as f64);
         id
     }
 
