@@ -14,7 +14,7 @@
 
 use crate::segvec::SegmentedVector;
 use crate::BlockId;
-use aboram_tree::{simd, Level, PathId, SlotId, TreeGeometry};
+use aboram_tree::{Level, PathId, SlotId, TreeGeometry};
 
 /// Physical-slot lifecycle under AB-ORAM (§V-B2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -333,16 +333,6 @@ impl BucketMeta {
     }
 }
 
-/// Reusable word buffers for the batched mask scans
-/// ([`MetadataStore::path_pick_masks`] and friends) — the gather side of
-/// each SIMD combine, kept by the caller so the hot path never allocates.
-#[derive(Debug, Clone, Default)]
-pub struct MaskScratch {
-    valid: Vec<u64>,
-    real: Vec<u64>,
-    width: Vec<u64>,
-}
-
 /// The raw fields of one [`BucketMeta`], exposed crate-internally so the
 /// snapshot codec can round-trip buckets bit-exactly without widening the
 /// bucket's own API.
@@ -430,63 +420,6 @@ impl MetadataStore {
         let mut sv = SegmentedVector::new(base);
         sv.extend(buckets);
         MetadataStore { buckets: sv }
-    }
-
-    /// Batched valid/dummy scan over `buckets` — one access path's worth of
-    /// [`BucketMeta::valid_mask`]/[`BucketMeta::dummy_mask`], computed with
-    /// the dispatched [`simd`] kernels instead of one word combine per
-    /// bucket. The raw bitset words are gathered into `scratch`, then
-    /// `valid_out[i] = valid & width` and `dummy_out[i] = valid & width &
-    /// !real` are combined lane-wise; the scalar kernel is the exact
-    /// per-bucket formula, so the masks are bit-identical either way.
-    ///
-    /// Callers must consume `*_out[i]` before mutating `buckets[i]` (path
-    /// buckets are distinct, so the usual read-then-mark loop qualifies).
-    pub fn path_pick_masks(
-        &self,
-        buckets: &[aboram_tree::BucketId],
-        scratch: &mut MaskScratch,
-        valid_out: &mut Vec<u64>,
-        dummy_out: &mut Vec<u64>,
-    ) {
-        let n = buckets.len();
-        scratch.valid.clear();
-        scratch.real.clear();
-        scratch.width.clear();
-        for &b in buckets {
-            let m = self.get(b);
-            scratch.valid.push(m.valid);
-            scratch.real.push(m.real);
-            scratch.width.push(low_mask(m.logical_slots));
-        }
-        valid_out.clear();
-        valid_out.resize(n, 0);
-        dummy_out.clear();
-        dummy_out.resize(n, 0);
-        simd::mask_and(&scratch.valid, &scratch.width, valid_out);
-        simd::mask_dummy(&scratch.valid, &scratch.real, &scratch.width, dummy_out);
-    }
-
-    /// Batched [`BucketMeta::not_refreshed_mask`] over `buckets` (`dead |
-    /// allocated` per bucket, kernel-combined) — the rebuild-time census
-    /// scan in bulk.
-    pub fn not_refreshed_masks(
-        &self,
-        buckets: &[aboram_tree::BucketId],
-        scratch: &mut MaskScratch,
-        out: &mut Vec<u64>,
-    ) {
-        let n = buckets.len();
-        scratch.valid.clear();
-        scratch.real.clear();
-        for &b in buckets {
-            let m = self.get(b);
-            scratch.valid.push(m.dead);
-            scratch.real.push(m.allocated);
-        }
-        out.clear();
-        out.resize(n, 0);
-        simd::mask_or(&scratch.valid, &scratch.real, out);
     }
 
     /// Total buckets tracked.
@@ -678,40 +611,6 @@ mod tests {
         m.logical_slots = 7;
         assert!(!m.is_remote(5));
         assert!(m.is_remote(6));
-    }
-
-    #[test]
-    fn batched_masks_match_per_bucket_scans() {
-        let geo = TreeGeometry::uniform(5, LevelConfig::new(3, 2)).unwrap();
-        let mut store = MetadataStore::new(&geo);
-        // Scatter state across a path's buckets: validity, real blocks,
-        // dead/allocated statuses.
-        let path: Vec<BucketId> = (0..5).map(|l| BucketId::from_level_index(Level(l), 0)).collect();
-        for (i, &b) in path.iter().enumerate() {
-            let m = store.get_mut(b);
-            m.set_all_valid(5);
-            if i % 2 == 0 {
-                m.push_entry(RealEntry { addr: i as u64, label: PathId::new(0), ptr: 1 });
-            }
-            if i % 3 == 0 {
-                m.set_valid(2, false);
-                m.set_status(2, SlotStatus::Dead);
-            }
-            if i % 3 == 1 {
-                m.set_valid(0, false);
-                m.set_status(0, SlotStatus::Allocated);
-            }
-        }
-        let mut scratch = MaskScratch::default();
-        let (mut valid, mut dummy, mut nr) = (Vec::new(), Vec::new(), Vec::new());
-        store.path_pick_masks(&path, &mut scratch, &mut valid, &mut dummy);
-        store.not_refreshed_masks(&path, &mut scratch, &mut nr);
-        for (i, &b) in path.iter().enumerate() {
-            let m = store.get(b);
-            assert_eq!(valid[i], m.valid_mask(), "bucket {b}: valid");
-            assert_eq!(dummy[i], m.dummy_mask(), "bucket {b}: dummy");
-            assert_eq!(nr[i], m.not_refreshed_mask(), "bucket {b}: census");
-        }
     }
 
     /// §VIII-H: Ring metadata ≈ 33 B, AB-ORAM extra ≤ 28 B with R = 6, both

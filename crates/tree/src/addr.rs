@@ -11,15 +11,9 @@
 use crate::error::GeometryError;
 use crate::geometry::TreeGeometry;
 use crate::path::{BucketId, Level, SlotId};
-use crate::simd;
 
 /// Size of one data block (a cache line), in bytes.
 pub const BLOCK_BYTES: u64 = 64;
-
-/// Scratch width for one same-bucket address run in
-/// [`PhysicalLayout::slot_addrs`]. Slot indices are `u8`, so 256 lanes cover
-/// any run of distinct in-capacity slots.
-const RUN_LANES: usize = 256;
 
 /// Size reserved for one bucket's metadata, in bytes. The paper keeps Ring
 /// ORAM's 33 B plus AB-ORAM's 28 B of additional metadata within one block
@@ -265,10 +259,9 @@ impl PhysicalLayout {
     /// slot in `slots` to `out`, resolving the per-level slot base, stride,
     /// and capacity once per level *run* instead of once per slot. Path work
     /// issues its reads bucket by bucket, so a batch is almost always a
-    /// sequence of same-bucket runs; each run's addresses are computed by
-    /// the dispatched [`simd`](crate::simd) kernel (`base + index * 64` per
-    /// lane), whose scalar fallback is the exact formula the scalar form
-    /// uses — the addresses produced are bit-identical either way.
+    /// single run and the level tables are touched once per bucket rather
+    /// than once per block. The addresses produced are exactly those the
+    /// scalar form returns.
     ///
     /// # Errors
     ///
@@ -280,15 +273,9 @@ impl PhysicalLayout {
         out: &mut Vec<SlotAddr>,
     ) -> Result<(), GeometryError> {
         out.reserve(slots.len());
-        // Scratch for one same-bucket run; Z fits in u8 so no in-capacity
-        // run over distinct slots can outgrow 256 lanes.
-        let mut idxs = [0u8; RUN_LANES];
-        let mut addrs = [0u64; RUN_LANES];
         // (level, slot base, stride, contiguous Z) of the previous slot.
         let mut cached: Option<(u8, u64, u64, u8)> = None;
-        let mut i = 0;
-        while i < slots.len() {
-            let slot = slots[i];
+        for &slot in slots {
             let raw = slot.bucket.raw();
             if raw >= self.bucket_count {
                 return Err(GeometryError::BucketOutOfRange {
@@ -300,33 +287,21 @@ impl PhysicalLayout {
             let (base, stride, z) = match cached {
                 Some((cl, base, stride, z)) if cl == l => (base, stride, z),
                 _ => {
-                    let li = l as usize;
-                    let entry = (self.level_slot_base[li], self.level_stride[li], self.level_z[li]);
+                    let i = l as usize;
+                    let entry = (self.level_slot_base[i], self.level_stride[i], self.level_z[i]);
                     cached = Some((l, entry.0, entry.1, entry.2));
                     entry
                 }
             };
-            if slot.index >= z {
+            if slot.index < z {
+                out.push(SlotAddr(
+                    base.wrapping_add(raw.wrapping_mul(stride))
+                        .wrapping_add(u64::from(slot.index) * BLOCK_BYTES),
+                ));
+            } else {
                 // Growth extents take the scalar slow path.
                 out.push(self.slot_addr(slot)?);
-                i += 1;
-                continue;
             }
-            // Extend the run across consecutive in-capacity slots of the
-            // same bucket, then fill the whole run in one kernel call.
-            let bucket_base = base.wrapping_add(raw.wrapping_mul(stride));
-            let mut n = 0;
-            while n < RUN_LANES
-                && i + n < slots.len()
-                && slots[i + n].bucket == slot.bucket
-                && slots[i + n].index < z
-            {
-                idxs[n] = slots[i + n].index;
-                n += 1;
-            }
-            simd::slot_addr_run(bucket_base, &idxs[..n], &mut addrs[..n]);
-            out.extend(addrs[..n].iter().map(|&a| SlotAddr(a)));
-            i += n;
         }
         Ok(())
     }

@@ -1,471 +1,12 @@
-//! Runtime-dispatched SIMD kernels for the metadata/address hot path.
+//! The metadata and address hot path's kernel name.
 //!
-//! Two kernel families live here, both with the pre-existing scalar code as
-//! the always-correct reference implementation:
-//!
-//! * **slot-address runs** — `addr[k] = bucket_base + index[k] * 64` for a
-//!   run of slots inside one bucket, the inner loop of
-//!   [`PhysicalLayout::slot_addrs`](crate::PhysicalLayout::slot_addrs)
-//!   (Ring ORAM's evict rebuild reads and Path ORAM's whole-bucket
-//!   reads/writes);
-//! * **bitset-mask combines** — elementwise `a & b`, `a | b` and
-//!   `valid & width & !real` over parallel `u64` word slices, the
-//!   valid/dummy/dead-slot scans `aboram-core`'s bucket metadata performs
-//!   for every bucket on an access path.
-//!
-//! The kernel is selected **once** at first use: `ABORAM_SIMD=off` (or
-//! `scalar`) forces the scalar fallback, `sse2`/`avx2` force a specific
-//! vector width (silently degrading to scalar when the CPU lacks it), and
-//! anything else picks the widest feature `std::arch` detects at runtime.
-//! On non-x86 targets only the scalar kernel exists and the variable is
-//! ignored. Every vector kernel is bit-identical to the scalar fallback by
-//! construction — the operations are pure lane-wise integer arithmetic —
-//! and `tests/simd_equivalence.rs` proves it property-wise while CI replays
-//! the golden fixtures under `ABORAM_SIMD=off`.
+//! The hot path is plain scalar Rust: AB-ORAM buckets hold at most 16 slots,
+//! so each bucket's metadata bitmaps are one word and a whole access path
+//! combines fewer than 24 of them — too little work for vector kernels to
+//! pay off (DESIGN.md §15).
 
-use std::sync::OnceLock;
-
-/// An instruction-set flavor of the hot-path kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kernel {
-    /// Portable Rust — the reference implementation.
-    Scalar,
-    /// 128-bit SSE2 lanes (2 × u64).
-    Sse2,
-    /// 256-bit AVX2 lanes (4 × u64).
-    Avx2,
-}
-
-impl Kernel {
-    /// Stable lowercase name (telemetry tag, bench labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            Kernel::Scalar => "scalar",
-            Kernel::Sse2 => "sse2",
-            Kernel::Avx2 => "avx2",
-        }
-    }
-}
-
-/// Every kernel the running CPU can execute, scalar first. Equivalence
-/// tests iterate this to compare each vector flavor against the scalar
-/// reference on the machine at hand.
-pub fn available_kernels() -> &'static [Kernel] {
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    {
-        if is_x86_feature_detected!("avx2") {
-            return &[Kernel::Scalar, Kernel::Sse2, Kernel::Avx2];
-        }
-        if is_x86_feature_detected!("sse2") {
-            return &[Kernel::Scalar, Kernel::Sse2];
-        }
-    }
-    &[Kernel::Scalar]
-}
-
-/// The kernel every dispatched entry point uses, selected once at first
-/// call (see the module docs for the `ABORAM_SIMD` override).
-pub fn kernel() -> Kernel {
-    static KERNEL: OnceLock<Kernel> = OnceLock::new();
-    *KERNEL.get_or_init(|| {
-        let avail = available_kernels();
-        let best = *avail.last().unwrap_or(&Kernel::Scalar);
-        match std::env::var("ABORAM_SIMD").ok().as_deref() {
-            Some("off") | Some("scalar") | Some("0") => Kernel::Scalar,
-            Some("sse2") if avail.contains(&Kernel::Sse2) => Kernel::Sse2,
-            Some("avx2") if avail.contains(&Kernel::Avx2) => Kernel::Avx2,
-            Some("sse2") | Some("avx2") => Kernel::Scalar,
-            _ => best,
-        }
-    })
-}
-
-/// Name of the selected kernel (`simd.kernel` telemetry tag).
+/// Name of the metadata/address kernel (`"scalar"`), printed by benchmark
+/// settings lines.
 pub fn kernel_name() -> &'static str {
-    kernel().name()
-}
-
-// ---------------------------------------------------------------------------
-// Slot-address runs
-// ---------------------------------------------------------------------------
-
-/// Fills `out[k] = base.wrapping_add(u64::from(indices[k]) * 64)` using the
-/// dispatched kernel. `base` is the byte address of the bucket's slot 0
-/// (wrapping arithmetic, matching
-/// [`PhysicalLayout::slot_addr`](crate::PhysicalLayout::slot_addr)).
-///
-/// # Panics
-///
-/// Panics if `indices` and `out` have different lengths.
-#[inline]
-pub fn slot_addr_run(base: u64, indices: &[u8], out: &mut [u64]) {
-    slot_addr_run_with(kernel(), base, indices, out);
-}
-
-/// [`slot_addr_run`] with an explicit kernel (equivalence tests).
-#[inline]
-pub fn slot_addr_run_with(k: Kernel, base: u64, indices: &[u8], out: &mut [u64]) {
-    assert!(indices.len() == out.len(), "slot_addr_run length mismatch");
-    match k {
-        Kernel::Scalar => slot_addr_run_scalar(base, indices, out),
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        Kernel::Sse2 => x86::slot_addr_run_sse2(base, indices, out),
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        Kernel::Avx2 => x86::slot_addr_run_avx2(base, indices, out),
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        _ => slot_addr_run_scalar(base, indices, out),
-    }
-}
-
-fn slot_addr_run_scalar(base: u64, indices: &[u8], out: &mut [u64]) {
-    for (o, &i) in out.iter_mut().zip(indices) {
-        *o = base.wrapping_add(u64::from(i) * 64);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Bitset-mask combines
-// ---------------------------------------------------------------------------
-
-/// `out[i] = a[i] & b[i]` over parallel word slices (the batched
-/// `valid & width` scan).
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-#[inline]
-pub fn mask_and(a: &[u64], b: &[u64], out: &mut [u64]) {
-    mask_and_with(kernel(), a, b, out);
-}
-
-/// [`mask_and`] with an explicit kernel (equivalence tests).
-#[inline]
-pub fn mask_and_with(k: Kernel, a: &[u64], b: &[u64], out: &mut [u64]) {
-    assert!(a.len() == b.len() && a.len() == out.len(), "mask_and length mismatch");
-    match k {
-        Kernel::Scalar => mask_and_scalar(a, b, out),
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        Kernel::Sse2 => x86::mask_and_sse2(a, b, out),
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        Kernel::Avx2 => x86::mask_and_avx2(a, b, out),
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        _ => mask_and_scalar(a, b, out),
-    }
-}
-
-fn mask_and_scalar(a: &[u64], b: &[u64], out: &mut [u64]) {
-    for i in 0..out.len() {
-        out[i] = a[i] & b[i];
-    }
-}
-
-/// `out[i] = a[i] | b[i]` over parallel word slices (the batched
-/// `dead | allocated` not-refreshed scan).
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-#[inline]
-pub fn mask_or(a: &[u64], b: &[u64], out: &mut [u64]) {
-    mask_or_with(kernel(), a, b, out);
-}
-
-/// [`mask_or`] with an explicit kernel (equivalence tests).
-#[inline]
-pub fn mask_or_with(k: Kernel, a: &[u64], b: &[u64], out: &mut [u64]) {
-    assert!(a.len() == b.len() && a.len() == out.len(), "mask_or length mismatch");
-    match k {
-        Kernel::Scalar => mask_or_scalar(a, b, out),
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        Kernel::Sse2 => x86::mask_or_sse2(a, b, out),
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        Kernel::Avx2 => x86::mask_or_avx2(a, b, out),
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        _ => mask_or_scalar(a, b, out),
-    }
-}
-
-fn mask_or_scalar(a: &[u64], b: &[u64], out: &mut [u64]) {
-    for i in 0..out.len() {
-        out[i] = a[i] | b[i];
-    }
-}
-
-/// `out[i] = valid[i] & width[i] & !real[i]` over parallel word slices —
-/// the dummy-slot scan (valid, in-width slots not holding a real block).
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-#[inline]
-pub fn mask_dummy(valid: &[u64], real: &[u64], width: &[u64], out: &mut [u64]) {
-    mask_dummy_with(kernel(), valid, real, width, out);
-}
-
-/// [`mask_dummy`] with an explicit kernel (equivalence tests).
-#[inline]
-pub fn mask_dummy_with(k: Kernel, valid: &[u64], real: &[u64], width: &[u64], out: &mut [u64]) {
-    assert!(
-        valid.len() == real.len() && valid.len() == width.len() && valid.len() == out.len(),
-        "mask_dummy length mismatch"
-    );
-    match k {
-        Kernel::Scalar => mask_dummy_scalar(valid, real, width, out),
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        Kernel::Sse2 => x86::mask_dummy_sse2(valid, real, width, out),
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        Kernel::Avx2 => x86::mask_dummy_avx2(valid, real, width, out),
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        _ => mask_dummy_scalar(valid, real, width, out),
-    }
-}
-
-fn mask_dummy_scalar(valid: &[u64], real: &[u64], width: &[u64], out: &mut [u64]) {
-    for i in 0..out.len() {
-        out[i] = valid[i] & width[i] & !real[i];
-    }
-}
-
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[allow(unsafe_code)]
-mod x86 {
-    //! `std::arch` kernels. Safety: every `#[target_feature]` function is
-    //! reached only through the dispatcher, which verified the feature with
-    //! `is_x86_feature_detected!` (see [`super::available_kernels`]);
-    //! loads/stores are `loadu`/`storeu` on in-bounds offsets the scalar
-    //! tails re-check, so no alignment or bounds assumptions are made.
-    #[cfg(target_arch = "x86")]
-    use std::arch::x86::*;
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-
-    pub(super) fn slot_addr_run_sse2(base: u64, indices: &[u8], out: &mut [u64]) {
-        // SAFETY: dispatcher verified sse2.
-        unsafe { slot_addr_run_sse2_impl(base, indices, out) }
-    }
-
-    #[target_feature(enable = "sse2")]
-    unsafe fn slot_addr_run_sse2_impl(base: u64, indices: &[u8], out: &mut [u64]) {
-        let vbase = _mm_set1_epi64x(base as i64);
-        let mut i = 0;
-        while i + 2 <= indices.len() {
-            let vidx = _mm_set_epi64x(i64::from(indices[i + 1]), i64::from(indices[i]));
-            let vaddr = _mm_add_epi64(vbase, _mm_slli_epi64(vidx, 6));
-            _mm_storeu_si128(out.as_mut_ptr().add(i).cast(), vaddr);
-            i += 2;
-        }
-        while i < indices.len() {
-            out[i] = base.wrapping_add(u64::from(indices[i]) * 64);
-            i += 1;
-        }
-    }
-
-    pub(super) fn slot_addr_run_avx2(base: u64, indices: &[u8], out: &mut [u64]) {
-        // SAFETY: dispatcher verified avx2.
-        unsafe { slot_addr_run_avx2_impl(base, indices, out) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn slot_addr_run_avx2_impl(base: u64, indices: &[u8], out: &mut [u64]) {
-        let vbase = _mm256_set1_epi64x(base as i64);
-        let mut i = 0;
-        while i + 4 <= indices.len() {
-            let vidx = _mm256_set_epi64x(
-                i64::from(indices[i + 3]),
-                i64::from(indices[i + 2]),
-                i64::from(indices[i + 1]),
-                i64::from(indices[i]),
-            );
-            let vaddr = _mm256_add_epi64(vbase, _mm256_slli_epi64(vidx, 6));
-            _mm256_storeu_si256(out.as_mut_ptr().add(i).cast(), vaddr);
-            i += 4;
-        }
-        while i < indices.len() {
-            out[i] = base.wrapping_add(u64::from(indices[i]) * 64);
-            i += 1;
-        }
-    }
-
-    macro_rules! binop_kernels {
-        ($sse2:ident, $sse2_impl:ident, $avx2:ident, $avx2_impl:ident,
-         $op128:ident, $op256:ident, $scalar:expr) => {
-            pub(super) fn $sse2(a: &[u64], b: &[u64], out: &mut [u64]) {
-                // SAFETY: dispatcher verified sse2.
-                unsafe { $sse2_impl(a, b, out) }
-            }
-
-            #[target_feature(enable = "sse2")]
-            unsafe fn $sse2_impl(a: &[u64], b: &[u64], out: &mut [u64]) {
-                let n = out.len();
-                let mut i = 0;
-                while i + 2 <= n {
-                    let va = _mm_loadu_si128(a.as_ptr().add(i).cast());
-                    let vb = _mm_loadu_si128(b.as_ptr().add(i).cast());
-                    _mm_storeu_si128(out.as_mut_ptr().add(i).cast(), $op128(va, vb));
-                    i += 2;
-                }
-                while i < n {
-                    out[i] = $scalar(a[i], b[i]);
-                    i += 1;
-                }
-            }
-
-            pub(super) fn $avx2(a: &[u64], b: &[u64], out: &mut [u64]) {
-                // SAFETY: dispatcher verified avx2.
-                unsafe { $avx2_impl(a, b, out) }
-            }
-
-            #[target_feature(enable = "avx2")]
-            unsafe fn $avx2_impl(a: &[u64], b: &[u64], out: &mut [u64]) {
-                let n = out.len();
-                let mut i = 0;
-                while i + 4 <= n {
-                    let va = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-                    let vb = _mm256_loadu_si256(b.as_ptr().add(i).cast());
-                    _mm256_storeu_si256(out.as_mut_ptr().add(i).cast(), $op256(va, vb));
-                    i += 4;
-                }
-                while i < n {
-                    out[i] = $scalar(a[i], b[i]);
-                    i += 1;
-                }
-            }
-        };
-    }
-
-    binop_kernels!(
-        mask_and_sse2,
-        mask_and_sse2_impl,
-        mask_and_avx2,
-        mask_and_avx2_impl,
-        _mm_and_si128,
-        _mm256_and_si256,
-        (|x: u64, y: u64| x & y)
-    );
-    binop_kernels!(
-        mask_or_sse2,
-        mask_or_sse2_impl,
-        mask_or_avx2,
-        mask_or_avx2_impl,
-        _mm_or_si128,
-        _mm256_or_si256,
-        (|x: u64, y: u64| x | y)
-    );
-
-    pub(super) fn mask_dummy_sse2(valid: &[u64], real: &[u64], width: &[u64], out: &mut [u64]) {
-        // SAFETY: dispatcher verified sse2.
-        unsafe { mask_dummy_sse2_impl(valid, real, width, out) }
-    }
-
-    #[target_feature(enable = "sse2")]
-    unsafe fn mask_dummy_sse2_impl(valid: &[u64], real: &[u64], width: &[u64], out: &mut [u64]) {
-        let n = out.len();
-        let mut i = 0;
-        while i + 2 <= n {
-            let vv = _mm_loadu_si128(valid.as_ptr().add(i).cast());
-            let vr = _mm_loadu_si128(real.as_ptr().add(i).cast());
-            let vw = _mm_loadu_si128(width.as_ptr().add(i).cast());
-            // andnot(real, valid & width) = valid & width & !real.
-            let vm = _mm_andnot_si128(vr, _mm_and_si128(vv, vw));
-            _mm_storeu_si128(out.as_mut_ptr().add(i).cast(), vm);
-            i += 2;
-        }
-        while i < n {
-            out[i] = valid[i] & width[i] & !real[i];
-            i += 1;
-        }
-    }
-
-    pub(super) fn mask_dummy_avx2(valid: &[u64], real: &[u64], width: &[u64], out: &mut [u64]) {
-        // SAFETY: dispatcher verified avx2.
-        unsafe { mask_dummy_avx2_impl(valid, real, width, out) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn mask_dummy_avx2_impl(valid: &[u64], real: &[u64], width: &[u64], out: &mut [u64]) {
-        let n = out.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            let vv = _mm256_loadu_si256(valid.as_ptr().add(i).cast());
-            let vr = _mm256_loadu_si256(real.as_ptr().add(i).cast());
-            let vw = _mm256_loadu_si256(width.as_ptr().add(i).cast());
-            let vm = _mm256_andnot_si256(vr, _mm256_and_si256(vv, vw));
-            _mm256_storeu_si256(out.as_mut_ptr().add(i).cast(), vm);
-            i += 4;
-        }
-        while i < n {
-            out[i] = valid[i] & width[i] & !real[i];
-            i += 1;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn words(seed: u64, n: usize) -> Vec<u64> {
-        // Tiny xorshift so the unit tests need no RNG dependency.
-        let mut s = seed | 1;
-        (0..n)
-            .map(|_| {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                s
-            })
-            .collect()
-    }
-
-    #[test]
-    fn every_available_kernel_matches_scalar() {
-        for &k in available_kernels() {
-            for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 15, 64] {
-                let a = words(0x1234 + n as u64, n);
-                let b = words(0x5678 + n as u64, n);
-                let c = words(0x9abc + n as u64, n);
-
-                let mut want = vec![0u64; n];
-                let mut got = vec![0u64; n];
-                mask_and_with(Kernel::Scalar, &a, &b, &mut want);
-                mask_and_with(k, &a, &b, &mut got);
-                assert_eq!(want, got, "{k:?} mask_and n={n}");
-                mask_or_with(Kernel::Scalar, &a, &b, &mut want);
-                mask_or_with(k, &a, &b, &mut got);
-                assert_eq!(want, got, "{k:?} mask_or n={n}");
-                mask_dummy_with(Kernel::Scalar, &a, &b, &c, &mut want);
-                mask_dummy_with(k, &a, &b, &c, &mut got);
-                assert_eq!(want, got, "{k:?} mask_dummy n={n}");
-
-                let indices: Vec<u8> = (0..n).map(|i| (i * 37 % 256) as u8).collect();
-                let base = 0xdead_0000u64.wrapping_mul(n as u64 + 1);
-                let mut want_a = vec![0u64; n];
-                let mut got_a = vec![0u64; n];
-                slot_addr_run_with(Kernel::Scalar, base, &indices, &mut want_a);
-                slot_addr_run_with(k, base, &indices, &mut got_a);
-                assert_eq!(want_a, got_a, "{k:?} slot_addr_run n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn kernel_selection_is_stable_and_named() {
-        let k = kernel();
-        assert_eq!(k, kernel(), "latched once");
-        assert!(available_kernels().contains(&k));
-        assert!(["scalar", "sse2", "avx2"].contains(&kernel_name()));
-    }
-
-    #[test]
-    fn wrapping_base_matches_scalar_formula() {
-        // Level-base tables can wrap below zero for non-uniform trees; the
-        // kernels must reproduce the wrapping add exactly.
-        let base = u64::MAX - 100;
-        for &k in available_kernels() {
-            let mut out = [0u64; 5];
-            slot_addr_run_with(k, base, &[0, 1, 2, 3, 4], &mut out);
-            let want: Vec<u64> = (0..5u64).map(|i| base.wrapping_add(i * 64)).collect();
-            assert_eq!(out.as_slice(), want.as_slice(), "{k:?}");
-        }
-    }
+    "scalar"
 }

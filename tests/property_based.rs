@@ -4,7 +4,9 @@
 
 use aboram::core::{AccessKind, CountingSink, OramConfig, RingOram, Scheme};
 use aboram::crypto::{BlockCipher, BLOCK_BYTES};
-use aboram::tree::{reverse_lex_path, LevelConfig, PathId, PhysicalLayout, TreeGeometry};
+use aboram::tree::{
+    reverse_lex_path, BucketId, LevelConfig, PathId, PhysicalLayout, SlotId, TreeGeometry,
+};
 use proptest::prelude::*;
 
 fn arb_scheme() -> impl Strategy<Value = Scheme> {
@@ -149,6 +151,44 @@ proptest! {
         let sibling_raw = if leaf.raw() % 2 == 1 { leaf.raw() + 1 } else { leaf.raw() - 1 };
         let sibling = aboram::tree::BucketId::new(sibling_raw);
         prop_assert!(!geo.bucket_is_on_path(sibling, path));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Batched address computation: `slot_addrs` (which caches the level
+    /// tables across a run of same-level slots) over an arbitrary slot
+    /// sequence — same-bucket runs, bucket switches, level switches,
+    /// repeats — equals one `slot_addr` call per slot on arbitrary
+    /// non-uniform geometries.
+    #[test]
+    fn batched_slot_addrs_match_scalar(
+        levels in 3u8..9,
+        z_real in 1u8..5,
+        s_top in 0u8..4,
+        s_bottom in 0u8..4,
+        bottom in 1u8..3,
+        picks in proptest::collection::vec((any::<u64>(), any::<u8>()), 1..200),
+    ) {
+        let geo = TreeGeometry::uniform(levels, LevelConfig::new(z_real, s_top))
+            .unwrap()
+            .override_bottom_levels(bottom.min(levels), LevelConfig::new(z_real, s_bottom))
+            .unwrap();
+        let layout = PhysicalLayout::new(&geo);
+        let slots: Vec<SlotId> = picks
+            .into_iter()
+            .map(|(braw, s)| {
+                let bucket = BucketId::new(braw % geo.bucket_count());
+                let z = geo.level_config(bucket.level()).z_total();
+                SlotId::new(bucket, s % z)
+            })
+            .collect();
+
+        let mut batched = Vec::new();
+        layout.slot_addrs(&slots, &mut batched).unwrap();
+        let scalar: Vec<_> = slots.iter().map(|&s| layout.slot_addr(s).unwrap()).collect();
+        prop_assert_eq!(batched, scalar);
     }
 }
 
