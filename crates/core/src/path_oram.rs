@@ -13,7 +13,7 @@ use crate::fault::{FaultSite, BACKOFF_BASE_CYCLES, MAX_FAULT_RETRIES};
 use crate::growth::extend_label;
 use crate::posmap::PositionMap;
 use crate::sink::{MemorySink, OramOp};
-use crate::stash::{Stash, StashBlock};
+use crate::stash::{Placement, Stash, StashBlock};
 use crate::{BlockId, BLOCK_BYTES};
 use aboram_stats::RecoveryStats;
 use aboram_telemetry::{self as telemetry, Phase};
@@ -302,14 +302,16 @@ impl PathOram {
             return Err(OramError::StashOverflow { capacity: self.stash.capacity() });
         }
 
-        // (3) Write path, leaf to root, greedily placing matching blocks.
+        // (3) Write path, leaf to root, greedily placing matching blocks
+        // from one stash scan.
+        let mut plan = Placement::default();
+        self.stash.plan_path(&self.geo, label, &mut plan);
+        let mut candidates = Vec::new();
         for &bucket in path.iter().rev() {
             let level = bucket.level();
             let cap = usize::from(self.geo.level_config(level).z_real);
-            let geo = &self.geo;
-            let candidates =
-                self.stash.matching_blocks(|l| geo.common_prefix_levels(l, label) > level.0);
-            for b in candidates.into_iter().take(cap) {
+            plan.take(level, cap, &mut candidates);
+            for &b in &candidates {
                 let e = self
                     .stash
                     .remove(b)

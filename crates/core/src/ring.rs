@@ -46,7 +46,7 @@ use crate::integrity::IntegrityVerifier;
 use crate::metadata::{nth_set_bit, MetadataStore, RealEntry, SlotStatus};
 use crate::posmap::PositionMap;
 use crate::sink::{MemorySink, OramOp};
-use crate::stash::{Stash, StashBlock};
+use crate::stash::{Placement, Stash, StashBlock};
 use crate::stats::OramStats;
 use crate::{BlockId, BLOCK_BYTES};
 use aboram_crypto::{BlockCipher, SealedBlock};
@@ -145,6 +145,14 @@ impl DataStore {
     }
 }
 
+/// What a rebuild rewrites: a whole path (evictPath) or one bucket
+/// (earlyReshuffle, growth drain).
+#[derive(Debug, Clone, Copy)]
+enum Rebuild {
+    Path(PathId),
+    Bucket(BucketId),
+}
+
 /// Per-access scratch buffers, held on the engine so the hot path reuses
 /// one allocation per buffer instead of reallocating every access.
 ///
@@ -157,10 +165,10 @@ impl DataStore {
 struct Scratch {
     /// readPath's path bucket list.
     path_buckets: Vec<BucketId>,
-    /// evictPath's path bucket list.
-    evict_buckets: Vec<BucketId>,
-    /// rebuild's deepest-first bucket order.
-    order: Vec<BucketId>,
+    /// rebuild's bucket list, root first.
+    rebuilt: Vec<BucketId>,
+    /// rebuild's placement plan (the one stash scan per eviction).
+    plan: Placement,
     /// rebuild read phase: logical slots to read for one bucket.
     read_slots: Vec<u8>,
     /// rebuild read phase: batched physical read addresses for one bucket.
@@ -169,7 +177,7 @@ struct Scratch {
     phys_slots: Vec<aboram_tree::SlotId>,
     /// rebuild read phase: valid real entries pulled to the stash.
     to_stash: Vec<RealEntry>,
-    /// rebuild refill: matching stash block ids (ascending).
+    /// rebuild refill: one bucket's picks from the plan (ascending ids).
     candidates: Vec<crate::BlockId>,
     /// rebuild refill: the slot permutation.
     slots: Vec<u8>,
@@ -782,7 +790,7 @@ impl RingOram {
                     bucket.level().0,
                     bucket.raw(),
                 );
-                self.rebuild_buckets(&[bucket], None, OramOp::EarlyReshuffle, sink)?;
+                self.rebuild_buckets(Rebuild::Bucket(bucket), OramOp::EarlyReshuffle, sink)?;
             }
         }
 
@@ -805,32 +813,33 @@ impl RingOram {
         if op == OramOp::EvictPath {
             self.stats.evict_paths += 1;
         }
-        let mut buckets = std::mem::take(&mut self.scratch.evict_buckets);
-        buckets.clear();
-        buckets.extend(self.geo.path_buckets(path));
-        let result = self.rebuild_buckets(&buckets, Some(path), op, sink);
-        self.scratch.evict_buckets = buckets;
-        result
+        self.rebuild_buckets(Rebuild::Path(path), op, sink)
     }
 
-    /// Shared rebuild for evictPath (whole path) and earlyReshuffle (single
-    /// bucket): read valid real blocks to the stash, then refill leaf-first
-    /// and write every logical slot back.
+    /// Shared rebuild for evictPath (whole path) and earlyReshuffle / the
+    /// growth drain (single bucket): read valid real blocks to the stash,
+    /// plan the placement with one stash scan, then refill leaf-first and
+    /// write every logical slot back.
     fn rebuild_buckets(
         &mut self,
-        buckets: &[BucketId],
-        evict_path: Option<PathId>,
+        target: Rebuild,
         op: OramOp,
         sink: &mut impl MemorySink,
     ) -> Result<(), OramError> {
         let now = self.stats.online_accesses();
+        let mut buckets = std::mem::take(&mut self.scratch.rebuilt);
+        buckets.clear();
+        match target {
+            Rebuild::Path(path) => buckets.extend(self.geo.path_buckets(path)),
+            Rebuild::Bucket(bucket) => buckets.push(bucket),
+        }
         let mut read_slots = std::mem::take(&mut self.scratch.read_slots);
         let mut read_addrs = std::mem::take(&mut self.scratch.read_addrs);
         let mut phys_slots = std::mem::take(&mut self.scratch.phys_slots);
         let mut to_stash = std::mem::take(&mut self.scratch.to_stash);
 
         // Read phase: metadata plus Z' block reads per bucket.
-        for &bucket in buckets {
+        for &bucket in &buckets {
             self.fetch_metadata(bucket, false, sink)?;
             let z_real = self.geo.level_config(bucket.level()).z_real;
             let m = self.meta.get(bucket);
@@ -879,22 +888,28 @@ impl RingOram {
         // holds a whole path's blocks in flight. The bound is enforced at
         // operation boundaries, after the rebuild places blocks back.
 
-        // Rebuild phase, deepest bucket first so blocks sink to the leaves.
-        let mut order = std::mem::take(&mut self.scratch.order);
-        order.clear();
-        order.extend_from_slice(buckets);
-        order.sort_by_key(|b| std::cmp::Reverse(b.level()));
-        for &b in &order {
-            self.rebuild_one(b, evict_path, op, sink, now)?;
+        // The eviction's one stash scan: every block that fits a rebuilt
+        // bucket, with the deepest level it may occupy.
+        let mut plan = std::mem::take(&mut self.scratch.plan);
+        match target {
+            Rebuild::Path(path) => self.stash.plan_path(&self.geo, path, &mut plan),
+            Rebuild::Bucket(bucket) => self.stash.plan_bucket(&self.geo, bucket, &mut plan),
         }
-        self.scratch.order = order;
+
+        // Rebuild phase, deepest bucket first so blocks sink to the leaves
+        // (the list runs root to leaf).
+        for &b in buckets.iter().rev() {
+            self.rebuild_one(b, &mut plan, op, sink, now)?;
+        }
+        self.scratch.plan = plan;
+        self.scratch.rebuilt = buckets;
         Ok(())
     }
 
     fn rebuild_one(
         &mut self,
         bucket: BucketId,
-        evict_path: Option<PathId>,
+        plan: &mut Placement,
         op: OramOp,
         sink: &mut impl MemorySink,
         now: u64,
@@ -902,14 +917,12 @@ impl RingOram {
         let level = bucket.level();
         let cfg_l = self.geo.level_config(level);
 
-        // Drop the old epoch's borrowed slots. No release bookkeeping is
-        // needed: the slots' home buckets still own them (status Allocated
-        // until the home's own rebuild), and the DeadQ is replenished by
-        // gatherDEADs.
-        {
-            let m = self.meta.get_mut(bucket);
-            m.borrowed.clear();
-        }
+        // Drop the old epoch's borrowed slots, keeping the buffer for the
+        // new epoch's. No release bookkeeping is needed: the slots' home
+        // buckets still own them (status Allocated until the home's own
+        // rebuild), and the DeadQ is replenished by gatherDEADs.
+        let mut new_borrowed = std::mem::take(&mut self.meta.get_mut(bucket).borrowed);
+        new_borrowed.clear();
 
         // Census: the rewrite revives every own slot that died this epoch,
         // including slots that were gathered into the pool (the home
@@ -935,7 +948,6 @@ impl RingOram {
         // Borrow fresh dead slots on extension levels (DR / AB), validating
         // each DeadQ entry against its home's slot status: an entry whose
         // home has rebuilt since it was queued is stale and discarded.
-        let mut new_borrowed = Vec::new();
         if self.remote_enabled && cfg_l.has_dynamic_extension() && self.deadqs.tracks(level) {
             telemetry::span(Phase::RemoteAlloc);
             self.stats.extensions_attempted += 1;
@@ -982,19 +994,10 @@ impl RingOram {
         m.count = 0;
         m.set_all_valid(logical_slots);
 
-        // Refill with matching stash blocks (ascending id order, truncated
-        // to capacity — same selection as the old collect-and-take scan).
-        let geo = &self.geo;
+        // Refill from the plan: the lowest-id unplaced blocks that fit this
+        // level, truncated to capacity.
         let mut candidates = std::mem::take(&mut self.scratch.candidates);
-        match evict_path {
-            Some(p) => self.stash.matching_blocks_into(&mut candidates, |label| {
-                geo.common_prefix_levels(label, p) > level.0
-            }),
-            None => self.stash.matching_blocks_into(&mut candidates, |label| {
-                geo.bucket_is_on_path(bucket, label)
-            }),
-        }
-        candidates.truncate(usize::from(real_capacity));
+        plan.take(level, usize::from(real_capacity), &mut candidates);
 
         // Random distinct slots for the chosen blocks (the permutation).
         // Real blocks go into own slots only; borrowed (remote) logical
@@ -1502,7 +1505,7 @@ impl RingOram {
             let Some(raw) = self.dynamic.take_next() else { break };
             let bucket = BucketId::new(raw);
             telemetry::event("growth_relocate", Phase::EarlyReshuffle, bucket.level().0, raw);
-            self.rebuild_buckets(&[bucket], None, OramOp::EarlyReshuffle, sink)?;
+            self.rebuild_buckets(Rebuild::Bucket(bucket), OramOp::EarlyReshuffle, sink)?;
         }
         Ok(())
     }
