@@ -370,6 +370,34 @@ mod tests {
     }
 
     #[test]
+    fn twin_retains_only_the_in_flight_window() {
+        // A long-running service must not grow the twin's per-request
+        // tables with its run length. Request counts per access are
+        // protocol state, identical at every depth, and at depth 1 the twin
+        // retains exactly the last access's requests, so the depth-1 run
+        // measures the largest access.
+        let cfg = OramConfig::builder(8, Scheme::AbChannelPar).seed(5).build().unwrap();
+        let run = |depth: u8, bound: usize| {
+            let mut b = TimedBackend::new(&cfg, DramConfig::default()).unwrap();
+            b.set_pipeline_depth(depth);
+            let mut largest = 0;
+            for i in 0..3000u64 {
+                b.access(i * 200, AccessKind::Read, i * 7 % 64, None).unwrap();
+                let retained = b.sink.memory().retained();
+                assert!(retained <= bound, "depth {depth}, access {i}: {retained} > {bound}");
+                largest = largest.max(retained);
+            }
+            b.quiesce();
+            assert_eq!(b.sink.memory().retained(), 0, "quiesce releases every request");
+            (largest, b.sink.memory().stats().total_requests())
+        };
+        let (largest, total) = run(1, usize::MAX);
+        assert!(largest as u64 * 50 < total, "largest access {largest} of {total} requests");
+        let (_, total4) = run(4, 4 * largest);
+        assert_eq!(total4, total);
+    }
+
+    #[test]
     fn controller_serializes_early_arrivals() {
         let mut backend = UntimedBackend::new(&cfg()).unwrap();
         let a = backend.access(0, AccessKind::Read, 1, None).unwrap();

@@ -151,7 +151,10 @@ impl SimulationReport {
 /// v5: the access-pipeline depth joined the stream. The in-flight window
 /// itself is run-local (snapshots are quiescent-only), so the depth knob is
 /// the only new state.
-pub const DRIVER_SNAPSHOT_VERSION: u32 = 5;
+///
+/// v6: rides the memory-system v3 bump (the twin's forget watermark), so
+/// a cached driver never restores a twin that restarts its request ids.
+pub const DRIVER_SNAPSHOT_VERSION: u32 = 6;
 
 /// Magic bytes opening every full-driver snapshot stream.
 const DRIVER_SNAPSHOT_MAGIC: [u8; 4] = *b"ABSD";
@@ -642,6 +645,29 @@ mod tests {
         assert!(r.breakdown.fraction(OramOp::ReadPath) > 0.0);
         assert!(r.breakdown.fraction(OramOp::EvictPath) > 0.0);
         assert!(r.bandwidth() > 0.0);
+    }
+
+    #[test]
+    fn twin_retains_only_the_in_flight_window() {
+        // The peak is taken each time retired accesses are released: at
+        // depth 1 that is exactly one access's requests, so the depth-1 run
+        // measures the largest access and bounds every deeper window.
+        let run = |depth: u8| {
+            let cfg = OramConfig::builder(10, Scheme::Ab).seed(7).build().unwrap();
+            let mut driver = TimingDriver::new(&cfg, DramConfig::default()).unwrap();
+            driver.set_pipeline_depth(depth);
+            let profile = profiles::spec2017().into_iter().find(|p| p.name == "mcf").unwrap();
+            let mut gen = TraceGenerator::new(&profile, 3);
+            driver.run((0..3000).map(|_| gen.next_record())).unwrap();
+            let mem = driver.sink.inner().memory();
+            assert_eq!(mem.retained(), 0, "depth {depth}: the run's end releases every request");
+            (mem.retained_peak(), mem.stats().total_requests())
+        };
+        let (largest, total) = run(1);
+        assert!(largest as u64 * 50 < total, "largest access {largest} of {total} requests");
+        let (peak, total4) = run(4);
+        assert_eq!(total4, total);
+        assert!(peak <= 4 * largest, "depth 4 retained {peak} > 4 x {largest}");
     }
 
     #[test]

@@ -15,48 +15,34 @@
 use crate::config::IssueMode;
 use crate::sink::{IssuedRequest, TimingSink};
 use aboram_crypto::CryptoLatency;
-use aboram_dram::MemOpKind;
+use aboram_dram::{MemOpKind, RequestId};
 use std::collections::VecDeque;
 
+/// A read of an in-flight access: `((channel, bank, row), id)`.
+type IndexedRead = ((u8, u16, u64), RequestId);
+
 /// One access in the in-flight window: its released requests, its crypto
-/// exit, and — computed on first use — the deduplicated sorted footprint
-/// of its *reads*, the locations a later access's writeback must not
-/// overwrite before they are served (see [`AccessScheduler::conflict_gate`]).
+/// exit, and — built on first use — its sorted reads, the locations a later
+/// access's writeback must not overwrite before they are served.
 #[derive(Debug)]
 struct InflightAccess {
     reqs: Vec<IssuedRequest>,
     /// User-visible completion: the access's crypto exit.
     done: u64,
-    read_footprint: Option<Vec<(u8, u16, u64)>>,
+    read_index: Option<Vec<IndexedRead>>,
 }
 
 impl InflightAccess {
-    fn read_footprint(&mut self) -> &[(u8, u16, u64)] {
+    /// The read index, sorted (channel-parallel releases are already in order).
+    fn read_index(&mut self) -> &[IndexedRead] {
         let reqs = &self.reqs;
-        self.read_footprint.get_or_insert_with(|| {
-            let mut fp: Vec<(u8, u16, u64)> = reqs
-                .iter()
-                .filter(|&&(_, _, kind)| kind == MemOpKind::Read)
-                .map(|&(_, key, _)| key)
-                .collect();
-            fp.sort_unstable();
-            fp.dedup();
-            fp
+        self.read_index.get_or_insert_with(|| {
+            let mut index: Vec<_> =
+                reqs.iter().filter(|r| r.2 == MemOpKind::Read).map(|r| (r.1, r.0)).collect();
+            index.sort_unstable();
+            index
         })
     }
-}
-
-/// Whether two sorted footprints share any `(channel, bank, row)` location.
-fn footprints_intersect(a: &[(u8, u16, u64)], b: &[(u8, u16, u64)]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Equal => return true,
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-        }
-    }
-    false
 }
 
 /// The ORAM controller: crypto model, occupancy floor, pipeline depth and
@@ -154,12 +140,16 @@ impl AccessScheduler {
             gate = gate.max(Self::retire(sink, &old));
             self.spare = old.reqs;
         }
+        self.forget_retired(sink);
         // Footprints are only worth computing when something is still in
         // flight — never at depth 1.
         if !self.window.is_empty() {
             sink.staged_write_footprint(&mut self.footprint);
             for entry in &mut self.window {
-                gate = gate.max(Self::conflict_gate(sink, entry, &self.footprint));
+                let reads = entry.read_index();
+                gate = gate.max(Self::conflict_gate(reads, &self.footprint, |id| {
+                    sink.completion_time(id)
+                }));
             }
         }
         let start = gate;
@@ -201,7 +191,7 @@ impl AccessScheduler {
         self.prev_online_done = last;
 
         let reqs = sink.take_issued(std::mem::take(&mut self.spare));
-        self.window.push_back(InflightAccess { reqs, done, read_footprint: None });
+        self.window.push_back(InflightAccess { reqs, done, read_index: None });
         aboram_telemetry::observe_level("pipeline.occupancy", self.window.len().min(255) as u8, 1);
         (start, done)
     }
@@ -213,8 +203,15 @@ impl AccessScheduler {
         while let Some(entry) = self.window.pop_front() {
             free = free.max(Self::retire(sink, &entry));
         }
+        self.forget_retired(sink);
         self.free_at = free;
         free
+    }
+
+    /// Lets the twin forget every request older than the window's oldest:
+    /// [`retire`](Self::retire) forced all their completions, in FIFO order.
+    fn forget_retired(&self, sink: &mut TimingSink) {
+        sink.forget_before(self.window.iter().find_map(|a| a.reqs.first()).map(|r| r.0));
     }
 
     /// An in-flight access's full completion: the latest completion over
@@ -226,9 +223,9 @@ impl AccessScheduler {
     }
 
     /// The earliest cycle at which a new access writing `write_footprint`
-    /// may issue without overwriting a location `entry` has not finished
-    /// reading: the latest completion over exactly `entry`'s reads in the
-    /// shared `(channel, bank, row)` rows (zero when disjoint).
+    /// may issue without overwriting a location an in-flight access has not
+    /// finished reading: the latest `completion` over exactly its `reads`
+    /// (read index) in the shared rows, zero when disjoint — one merge-join.
     ///
     /// Write-after-read is the one DRAM-level hazard the window orders
     /// explicitly. Read-after-write needs no gate — a read of a location
@@ -241,16 +238,17 @@ impl AccessScheduler {
     /// pair of paths shares rows near the root, and offline writebacks are
     /// deprioritized to the end of the drain.
     fn conflict_gate(
-        sink: &mut TimingSink,
-        entry: &mut InflightAccess,
+        reads: &[IndexedRead],
         write_footprint: &[(u8, u16, u64)],
+        mut completion: impl FnMut(RequestId) -> u64,
     ) -> u64 {
-        let mut gate = 0;
-        if footprints_intersect(entry.read_footprint(), write_footprint) {
-            for &(id, key, kind) in &entry.reqs {
-                if kind == MemOpKind::Read && write_footprint.binary_search(&key).is_ok() {
-                    gate = gate.max(sink.completion_time(id));
+        let (mut gate, mut i) = (0, 0);
+        for &row in write_footprint {
+            while i < reads.len() && reads[i].0 <= row {
+                if reads[i].0 == row {
+                    gate = gate.max(completion(reads[i].1));
                 }
+                i += 1;
             }
         }
         gate
@@ -261,8 +259,97 @@ impl AccessScheduler {
 mod tests {
     use super::*;
     use crate::sink::{MemorySink, OramOp};
-    use aboram_dram::{DramConfig, MemorySystem};
+    use aboram_dram::{DramConfig, MemorySystem, Priority};
     use aboram_tree::SlotAddr;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// The gate as it was before the read index: intersect the access's
+    /// deduplicated read footprint with the write footprint, then rescan
+    /// every request and force the reads whose row the writes touch.
+    fn reference_gate(
+        reqs: &[IssuedRequest],
+        write_footprint: &[(u8, u16, u64)],
+        mut completion: impl FnMut(RequestId) -> u64,
+    ) -> u64 {
+        let mut reads: Vec<(u8, u16, u64)> =
+            reqs.iter().filter(|r| r.2 == MemOpKind::Read).map(|r| r.1).collect();
+        reads.sort_unstable();
+        reads.dedup();
+        let intersect = {
+            let (mut i, mut j) = (0, 0);
+            loop {
+                if i == reads.len() || j == write_footprint.len() {
+                    break false;
+                }
+                match reads[i].cmp(&write_footprint[j]) {
+                    std::cmp::Ordering::Equal => break true,
+                    std::cmp::Ordering::Less => i += 1,
+                    std::cmp::Ordering::Greater => j += 1,
+                }
+            }
+        };
+        let mut gate = 0;
+        if intersect {
+            for &(id, key, kind) in reqs {
+                if kind == MemOpKind::Read && write_footprint.binary_search(&key).is_ok() {
+                    gate = gate.max(completion(id));
+                }
+            }
+        }
+        gate
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The merge-join over the read index yields the same gate and
+        /// forces exactly the same request ids as the per-request scan, for
+        /// in-flight accesses released in program order or grouped by row
+        /// (channel-parallel issue), with repeated rows on both sides.
+        #[test]
+        fn conflict_gate_matches_per_request_scan(
+            raw_reqs in proptest::collection::vec(((0u8..2, 0u16..3, 0u64..4), any::<bool>(), 0u64..10_000), 0..64),
+            raw_writes in proptest::collection::vec((0u8..2, 0u16..3, 0u64..4), 0..24),
+            channel_parallel in any::<bool>(),
+        ) {
+            let mut raw_reqs = raw_reqs;
+            if channel_parallel {
+                raw_reqs.sort_by_key(|r| r.0);
+            }
+            // Real ids from a twin, allocated in release order.
+            let mut mem = MemorySystem::new(DramConfig::default());
+            let mut times = HashMap::new();
+            let reqs: Vec<IssuedRequest> = raw_reqs
+                .iter()
+                .map(|&(key, write, t)| {
+                    let kind = if write { MemOpKind::Write } else { MemOpKind::Read };
+                    let id = mem.enqueue(kind, 0, Priority::Online, 0, 0);
+                    times.insert(id, t);
+                    (id, key, kind)
+                })
+                .collect();
+            let mut writes = raw_writes;
+            writes.sort_unstable();
+            writes.dedup();
+
+            let mut expected_forced = Vec::new();
+            let expected = reference_gate(&reqs, &writes, |id| {
+                expected_forced.push(id);
+                times[&id]
+            });
+            let mut access = InflightAccess { reqs, done: 0, read_index: None };
+            let mut forced = Vec::new();
+            let gate = AccessScheduler::conflict_gate(access.read_index(), &writes, |id| {
+                forced.push(id);
+                times[&id]
+            });
+            prop_assert_eq!(gate, expected);
+            expected_forced.sort_unstable();
+            forced.sort_unstable();
+            prop_assert_eq!(forced, expected_forced);
+        }
+    }
 
     #[test]
     fn depth_one_waits_for_the_previous_crypto_exit() {

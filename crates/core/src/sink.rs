@@ -203,10 +203,9 @@ impl MemorySink for CountingSink {
 /// The sink *stages* each access's requests instead of enqueueing them:
 /// the controller ([`crate::TimingDriver`] or [`crate::TimedBackend`])
 /// fixes the access's arrival cycle only after the whole access is staged —
-/// it may inspect the staged write footprint
-/// ([`staged_write_footprint`](TimingSink::staged_write_footprint)) to
-/// resolve `(channel, bank, row)` conflicts against accesses still in
-/// flight — and then releases it with [`release_at`](TimingSink::release_at).
+/// it may inspect the staged write footprint to resolve
+/// `(channel, bank, row)` conflicts against accesses still in flight — and
+/// then releases it with [`release_at`](TimingSink::release_at).
 ///
 /// [`IssueMode::Serial`] releases in program order. In
 /// [`IssueMode::ChannelParallel`] the release groups requests by DRAM
@@ -327,7 +326,7 @@ impl TimingSink {
     /// access *writes*, sorted — the footprint the controller intersects
     /// against in-flight accesses' read footprints to detect
     /// same-bucket/slot write-after-read hazards.
-    pub fn staged_write_footprint(&self, out: &mut Vec<(u8, u16, u64)>) {
+    pub(crate) fn staged_write_footprint(&self, out: &mut Vec<(u8, u16, u64)>) {
         out.clear();
         out.extend(
             self.staged.iter().filter(|r| r.kind == MemOpKind::Write).map(StagedRequest::key),
@@ -350,6 +349,18 @@ impl TimingSink {
     /// The completion cycle of `id` (forces scheduling as needed).
     pub fn completion_time(&mut self, id: RequestId) -> u64 {
         self.memory.completion_time(id)
+    }
+
+    /// Lets the twin drop the bookkeeping of every request older than both
+    /// `live` — the oldest request the controller still holds, `None` when
+    /// it holds none — and every request this sink still holds. The caller
+    /// vouches that all older requests are complete and never queried
+    /// again ([`MemorySystem::forget_before`]).
+    pub(crate) fn forget_before(&mut self, live: Option<RequestId>) {
+        let held =
+            self.issued.first().map(|r| r.0).into_iter().chain(self.online_reads.first().copied());
+        let watermark = held.chain(live).min().unwrap_or_else(|| self.memory.next_id());
+        self.memory.forget_before(watermark);
     }
 
     /// Schedules every pending online read and appends each one's completion

@@ -5,6 +5,7 @@ use crate::config::{AddressMapping, DramConfig, PagePolicy};
 use crate::mapping::{decode, DecodedAddr};
 use crate::stats::MemoryStats;
 use aboram_stats::{fnv1a64, ByteReader, ByteWriter, CodecError};
+use std::collections::VecDeque;
 
 /// Number of distinct traffic tags the statistics track. Tags are opaque to
 /// the memory system; the ORAM layer uses them to attribute traffic to
@@ -18,6 +19,16 @@ pub(crate) const TAG_SLOTS: usize = 8;
 /// for any request's [`completion_time`](MemorySystem::completion_time),
 /// which lazily runs the affected channel forward until that request has
 /// been serviced.
+///
+/// Request ids are dense and global (the n-th request ever enqueued gets
+/// id n, also across [`snapshot`](MemorySystem::snapshot) /
+/// [`restore`](MemorySystem::restore)), but the per-request bookkeeping is
+/// kept only above a *forget watermark*: a controller that knows it will
+/// never query a completed prefix again hands it back with
+/// [`forget_before`](MemorySystem::forget_before), so the tables track the
+/// in-flight window instead of the whole run. Ids below the watermark may
+/// no longer be queried. A system nobody calls `forget_before` on keeps
+/// every id queryable.
 ///
 /// # Example
 ///
@@ -36,13 +47,19 @@ pub struct MemorySystem {
     cfg: DramConfig,
     channels: Vec<Channel>,
     stats: MemoryStats,
-    /// Completion cycle per request, indexed by the request's raw id
+    /// Completion cycle per retained request, indexed by `raw id - base`
     /// ([`NOT_DONE`] until scheduled). Ids are dense and monotonic, so a
-    /// flat `Vec` replaces the old per-request hash maps — same semantics,
-    /// no hashing on the hot path.
-    completions: Vec<u64>,
-    /// Owning channel per request, indexed by raw id.
-    routing: Vec<u8>,
+    /// flat ring replaces per-request hash maps — no hashing on the hot
+    /// path.
+    completions: VecDeque<u64>,
+    /// Owning channel per retained request, indexed like `completions`.
+    routing: VecDeque<u8>,
+    /// The forget watermark: raw id of `completions[0]`. Every id below it
+    /// was completed and dropped by [`forget_before`](Self::forget_before).
+    base: u64,
+    /// Most entries retained at once since construction or restore
+    /// (diagnostic only; not part of the snapshot).
+    retained_peak: usize,
 }
 
 /// Sentinel for "not yet scheduled" in [`MemorySystem::completions`].
@@ -57,8 +74,10 @@ impl MemorySystem {
             cfg,
             channels,
             stats: MemoryStats::new(TAG_SLOTS),
-            completions: Vec::new(),
-            routing: Vec::new(),
+            completions: VecDeque::new(),
+            routing: VecDeque::new(),
+            base: 0,
+            retained_peak: 0,
         }
     }
 
@@ -99,13 +118,27 @@ impl MemorySystem {
         tag: u32,
         now: u64,
     ) -> RequestId {
-        let id = RequestId(self.routing.len() as u64);
-        self.routing.push(decoded.channel);
-        self.completions.push(NOT_DONE);
+        let id = self.next_id();
+        self.routing.push_back(decoded.channel);
+        self.completions.push_back(NOT_DONE);
         let channel = &mut self.channels[decoded.channel as usize];
         channel.enqueue(id, kind, priority, tag, decoded, now);
         aboram_telemetry::gauge("dram.queue_depth", channel.queue_depth() as f64);
         id
+    }
+
+    /// The id the next enqueued request will get.
+    pub fn next_id(&self) -> RequestId {
+        RequestId(self.base + self.completions.len() as u64)
+    }
+
+    /// Index of `id` in the retained tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is below the forget watermark.
+    fn slot(&self, id: RequestId) -> usize {
+        id.0.checked_sub(self.base).expect("request id below the forget watermark") as usize
     }
 
     /// Returns the CPU cycle at which `id` finishes its data burst, running
@@ -113,17 +146,20 @@ impl MemorySystem {
     ///
     /// # Panics
     ///
-    /// Panics if `id` was never enqueued (caller bug).
+    /// Panics if `id` was never enqueued or lies below the forget watermark
+    /// (caller bug).
     pub fn completion_time(&mut self, id: RequestId) -> u64 {
-        let done = self.completions[id.0 as usize];
+        let slot = self.slot(id);
+        let done = self.completions[slot];
         if done != NOT_DONE {
             return done;
         }
-        let channel = self.routing[id.0 as usize];
+        let channel = self.routing[slot];
         loop {
             match self.channels[channel as usize].schedule_one(&mut self.stats) {
                 Some((done_id, t)) => {
-                    self.completions[done_id.0 as usize] = t;
+                    let done_slot = self.slot(done_id);
+                    self.completions[done_slot] = t;
                     if done_id == id {
                         return t;
                     }
@@ -137,9 +173,43 @@ impl MemorySystem {
     pub fn drain(&mut self) {
         for ch in &mut self.channels {
             while let Some((id, t)) = ch.schedule_one(&mut self.stats) {
-                self.completions[id.0 as usize] = t;
+                self.completions[(id.0 - self.base) as usize] = t;
             }
         }
+    }
+
+    /// Drops the bookkeeping of every request with an id below `id`, which
+    /// moves the forget watermark there: those ids may no longer be passed
+    /// to [`completion_time`](MemorySystem::completion_time). Ids stay
+    /// dense — the next request still gets [`next_id`](Self::next_id).
+    ///
+    /// Every dropped request must already be complete (debug-asserted):
+    /// the caller forgets only a prefix whose completion times it forced
+    /// and will never ask for again. `id` past [`next_id`](Self::next_id)
+    /// is clamped to it.
+    pub fn forget_before(&mut self, id: RequestId) {
+        debug_assert!(id <= self.next_id(), "forgetting ids never enqueued");
+        let n = (id.0.saturating_sub(self.base) as usize).min(self.completions.len());
+        debug_assert!(
+            self.completions.iter().take(n).all(|&t| t != NOT_DONE),
+            "forgetting a request that has not completed"
+        );
+        self.retained_peak = self.retained_peak.max(self.completions.len());
+        self.completions.drain(..n);
+        self.routing.drain(..n);
+        self.base += n as u64;
+    }
+
+    /// Requests whose bookkeeping is kept: every id from the forget
+    /// watermark up to [`next_id`](Self::next_id).
+    pub fn retained(&self) -> usize {
+        self.completions.len()
+    }
+
+    /// The most requests [`retained`](Self::retained) at once since this
+    /// system was built or restored.
+    pub fn retained_peak(&self) -> usize {
+        self.retained_peak.max(self.completions.len())
     }
 
     /// Injects a transient stall fault on `channel`: no command may issue
@@ -171,11 +241,12 @@ impl MemorySystem {
         &self.stats
     }
 
-    /// Serializes the memory system's complete state — per-request
-    /// completion/routing tables, statistics and per-channel scheduler state
-    /// (open rows, activate history, bus/clock cursors, stall windows) — so
-    /// that [`restore`](MemorySystem::restore) followed by any request
-    /// sequence behaves cycle-identically to this instance running the same
+    /// Serializes the memory system's complete state — the forget
+    /// watermark, the retained per-request completion/routing tables,
+    /// statistics and per-channel scheduler state (open rows, activate
+    /// history, bus/clock cursors, stall windows) — so that
+    /// [`restore`](MemorySystem::restore) followed by any request sequence
+    /// behaves cycle-identically to this instance running the same
     /// sequence.
     ///
     /// Snapshots are quiescent-only: call [`drain`](MemorySystem::drain)
@@ -192,6 +263,7 @@ impl MemorySystem {
         w.bytes(&DRAM_SNAPSHOT_MAGIC);
         w.u32(DRAM_SNAPSHOT_VERSION);
         w.u64(dram_config_digest(&self.cfg));
+        w.u64(self.base);
         w.u64(self.completions.len() as u64);
         for &c in &self.completions {
             w.u64(c);
@@ -239,18 +311,22 @@ impl MemorySystem {
         if r.u64()? != dram_config_digest(&cfg) {
             return Err(CodecError::new("configuration digest mismatch"));
         }
+        let base = r.u64()?;
         let n_completions = r.len_prefix(8)?;
-        let mut completions = Vec::with_capacity(n_completions);
+        if base.checked_add(n_completions as u64).is_none() {
+            return Err(CodecError::new("request-id counter overflows"));
+        }
+        let mut completions = VecDeque::with_capacity(n_completions);
         for _ in 0..n_completions {
-            completions.push(r.u64()?);
+            completions.push_back(r.u64()?);
         }
         let n_routing = r.len_prefix(1)?;
         if n_routing != n_completions {
             return Err(CodecError::new("routing and completion tables disagree"));
         }
-        let mut routing = Vec::with_capacity(n_routing);
+        let mut routing = VecDeque::with_capacity(n_routing);
         for _ in 0..n_routing {
-            routing.push(r.u8()?);
+            routing.push_back(r.u8()?);
         }
         let stats = MemoryStats::restore_from(&mut r)?;
         let n_channels = r.len_prefix(1)?;
@@ -264,7 +340,7 @@ impl MemorySystem {
         if r.remaining() != 0 {
             return Err(CodecError::new("trailing bytes after memory-system body"));
         }
-        Ok(MemorySystem { cfg, channels, stats, completions, routing })
+        Ok(MemorySystem { cfg, channels, stats, completions, routing, base, retained_peak: 0 })
     }
 }
 
@@ -272,7 +348,11 @@ impl MemorySystem {
 /// timing behavior changes, so stale cached state is never replayed.
 ///
 /// v2: [`MemoryStats`] grew per-channel and per-bank occupancy vectors.
-pub const DRAM_SNAPSHOT_VERSION: u32 = 2;
+///
+/// v3: the forget watermark joined the stream, ahead of the retained
+/// completion/routing tables, so a restored system continues the request-id
+/// counter of the one that was snapshotted.
+pub const DRAM_SNAPSHOT_VERSION: u32 = 3;
 
 /// Magic bytes opening every memory-system snapshot stream.
 const DRAM_SNAPSHOT_MAGIC: [u8; 4] = *b"ABSM";
@@ -351,6 +431,56 @@ mod tests {
         restored.drain();
         assert_eq!(warmed.stats(), restored.stats());
         assert_eq!(warmed.snapshot().unwrap(), restored.snapshot().unwrap());
+    }
+
+    #[test]
+    fn forgotten_prefix_survives_snapshot_restore() {
+        let cfg = DramConfig::default();
+        let mut mem = MemorySystem::new(cfg);
+        let ids: Vec<RequestId> = (0..300u64)
+            .map(|i| {
+                let kind = if i % 3 == 0 { MemOpKind::Write } else { MemOpKind::Read };
+                mem.enqueue(kind, (i * 41 % 512) * 64, Priority::Online, (i % 4) as u32, i * 5)
+            })
+            .collect();
+        mem.drain();
+        let live = ids[200];
+        let live_done = mem.completion_time(live);
+        mem.forget_before(live);
+        assert_eq!(mem.retained(), 100);
+        assert_eq!(mem.retained_peak(), 300);
+        assert_eq!(mem.next_id(), RequestId(300), "forgetting keeps ids dense");
+
+        let bytes = mem.snapshot().unwrap();
+        let mut restored = MemorySystem::restore(cfg, &bytes).unwrap();
+        assert_eq!(restored.retained(), 100);
+        assert_eq!(mem.stats(), restored.stats());
+        assert_eq!(restored.completion_time(live), live_done);
+        assert_eq!(restored.completion_time(ids[299]), mem.completion_time(ids[299]));
+        for i in 0..50u64 {
+            let now = 5_000 + i * 9;
+            let a = mem.enqueue(MemOpKind::Read, (i * 29 % 512) * 64, Priority::Online, 1, now);
+            let b =
+                restored.enqueue(MemOpKind::Read, (i * 29 % 512) * 64, Priority::Online, 1, now);
+            assert_eq!(a, b, "request ids must continue from the same counter");
+            assert_eq!(a, RequestId(300 + i));
+            assert_eq!(mem.completion_time(a), restored.completion_time(b));
+        }
+        mem.forget_before(mem.next_id());
+        restored.forget_before(restored.next_id());
+        assert_eq!(mem.retained(), 0);
+        assert_eq!(mem.stats(), restored.stats());
+        assert_eq!(mem.snapshot().unwrap(), restored.snapshot().unwrap());
+    }
+
+    #[test]
+    #[should_panic(expected = "below the forget watermark")]
+    fn forgotten_ids_may_not_be_queried() {
+        let mut mem = MemorySystem::new(DramConfig::default());
+        let a = mem.enqueue(MemOpKind::Read, 0, Priority::Online, 0, 0);
+        mem.completion_time(a);
+        mem.forget_before(mem.next_id());
+        mem.completion_time(a);
     }
 
     #[test]
